@@ -48,9 +48,7 @@ func main() {
 		serverURL = flag.String("server", "", "offload threshold sweeps to a vpserve node or vpcoord cluster at this base URL instead of computing locally")
 		remoteILP = flag.Bool("remote-ilp", true, "include the ILP speedup leg in remote sweeps (with -server)")
 
-		traceMem     = flag.Int64("trace-mem-budget", 0, "resident bytes budget per recorded trace before chunks spill to disk (0 = unlimited)")
-		scalarReplay = flag.Bool("scalar-replay", false, "force the scalar per-record replay path instead of the default batch column kernels (results are bit-identical; debugging escape hatch)")
-		scalarRecord = flag.Bool("scalar-record", false, "force the scalar per-record recording path instead of the default fused execute+encode column path (results are bit-identical; debugging escape hatch)")
+		traceMem = flag.Int64("trace-mem-budget", 0, "resident bytes budget per recorded trace before chunks spill to disk (0 = unlimited)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -106,8 +104,6 @@ func main() {
 	ctx.NumTrainInputs = *n
 	ctx.Workers = *par
 	ctx.TraceMemBudget = *traceMem
-	ctx.ScalarReplay = *scalarReplay
-	ctx.ScalarRecord = *scalarRecord
 	ths, err := parseThresholds(*thresh)
 	if err != nil {
 		fatal(err)

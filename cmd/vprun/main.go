@@ -49,8 +49,6 @@ func main() {
 		assoc      = flag.Int("assoc", 2, "prediction-table associativity")
 		classifier = flag.String("classifier", "fsm", "classifier: fsm or profile")
 		tracePath  = flag.String("trace", "", "write the dynamic trace to this file")
-		traceFmt   = flag.String("trace-format", "v2", "trace file format: v2 (columnar compressed, default) or v1 (legacy fixed records)")
-		scalarRec  = flag.Bool("scalar-record", false, "force the scalar per-record recording path instead of the default fused execute+encode column path (output is bit-identical; debugging escape hatch)")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (the vpserve report.Run schema)")
 		serverURL  = flag.String("server", "", "evaluate on a vpserve node or vpcoord cluster at this base URL instead of locally (requires -bench)")
@@ -139,24 +137,16 @@ func main() {
 	consumers := []trace.Consumer{engine}
 	var tw *trace.FileWriter
 	if *tracePath != "" {
-		format, err := trace.ParseFormat(*traceFmt)
-		if err != nil {
-			fatal(err)
-		}
 		// Atomic publication: the trace streams into a temp file and only a
 		// successful Close renames it to -trace, so an interrupted run never
 		// leaves a torn trace file behind.
-		tw, err = trace.CreateFile(*tracePath, format)
+		var err error
+		tw, err = trace.CreateFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
 		defer tw.Abort()
 		consumers = append(consumers, tw)
-	}
-	if *scalarRec {
-		for i, c := range consumers {
-			consumers[i] = trace.ScalarOnly(c)
-		}
 	}
 
 	n, err := workload.Run(p, consumers...)

@@ -45,17 +45,15 @@ var version = "dev"
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "job-queue depth")
-		timeout      = flag.Duration("timeout", 60*time.Second, "per-request timeout (queue wait included)")
-		drain        = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		train        = flag.Int("train", 0, "training inputs for profile-classified benchmark runs (0 = paper's n=5)")
-		results      = flag.Int("result-cache", 1024, "result-cache entries")
-		traces       = flag.Int("trace-cache", 32, "trace-cache entries (each can hold a full benchmark trace)")
-		traceMem     = flag.Int64("trace-mem-budget", 0, "resident bytes budget per recorded trace before chunks spill to disk (0 = unlimited)")
-		scalarReplay = flag.Bool("scalar-replay", false, "force the scalar per-record replay path instead of the default batch column kernels (results are bit-identical; debugging escape hatch)")
-		scalarRecord = flag.Bool("scalar-record", false, "force the scalar per-record recording path instead of the default fused execute+encode column path (traces are bit-identical; debugging escape hatch)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+		queue    = flag.Int("queue", 64, "job-queue depth")
+		timeout  = flag.Duration("timeout", 60*time.Second, "per-request timeout (queue wait included)")
+		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		train    = flag.Int("train", 0, "training inputs for profile-classified benchmark runs (0 = paper's n=5)")
+		results  = flag.Int("result-cache", 1024, "result-cache entries")
+		traces   = flag.Int("trace-cache", 32, "trace-cache entries (each can hold a full benchmark trace)")
+		traceMem = flag.Int64("trace-mem-budget", 0, "resident bytes budget per recorded trace before chunks spill to disk (0 = unlimited)")
 
 		stateDir   = flag.String("state-dir", "", "enable the durability layer: persist caches and the job journal under this directory (empty = in-memory only)")
 		journal    = flag.String("journal", "", "job-journal path (default <state-dir>/jobs.journal; requires -state-dir)")
@@ -111,8 +109,6 @@ func main() {
 		ResultCache:     *results,
 		TraceCache:      *traces,
 		TraceMemBudget:  *traceMem,
-		ScalarReplay:    *scalarReplay,
-		ScalarRecord:    *scalarRecord,
 		StateDir:        *stateDir,
 		JournalPath:     *journal,
 		SweepCheckpoint: *checkpoint,

@@ -8,31 +8,7 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/profiler"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// recordScalarBatch runs the benchmark's evaluation input exactly once,
-// recording the same live stream into a scalar-forced store, a default
-// (batch-replaying) store, and a batch store that spills every chunk.
-func recordScalarBatch(t *testing.T, bench string) (scalar, batch, spill *trace.Recorder) {
-	t.Helper()
-	scalar = trace.NewRecorder()
-	scalar.SetScalarReplay(true)
-	batch = trace.NewRecorder()
-	spill = trace.NewRecorder()
-	spill.SetMemBudget(1)
-	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), trace.Tee{scalar, batch, spill}); err != nil {
-		t.Fatal(err)
-	}
-	scalar.Seal()
-	batch.Seal()
-	spill.Seal()
-	if spill.SpilledChunks() == 0 {
-		t.Fatalf("%s: 1-byte budget spilled nothing", bench)
-	}
-	t.Cleanup(func() { spill.Close() })
-	return scalar, batch, spill
-}
 
 // collectorStats flattens a profiler collector into a deterministic slice
 // for deep comparison (InstStat includes the predictor emulation state, so
@@ -48,14 +24,15 @@ func collectorStats(fe func(func(*profiler.InstStat))) []profiler.InstStat {
 // gate: every predictor scheme family (FSM/profile classification,
 // stride/last-value, finite/infinite tables, hybrid), the profiler
 // collectors and the ILP-mixed MultiEval must produce identical results
-// whether the recorded evaluation stream is replayed through the scalar
-// per-record reference path or the batch column kernels — resident or
-// spilled.
+// whether the live evaluation stream is fed to them record by record (the
+// oracle) or replayed from a recorded trace through the batch column
+// kernels — resident or spilled.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	const bench = "compress"
-	scalar, batch, spill := recordScalarBatch(t, bench)
-	if scalar.Len() != batch.Len() || batch.Len() != spill.Len() {
-		t.Fatalf("store lengths differ: scalar=%d batch=%d spill=%d", scalar.Len(), batch.Len(), spill.Len())
+	recs := liveRecords(t, bench)
+	batch, spill := recordStores(t, recs)
+	if int64(len(recs)) != batch.Len() || batch.Len() != spill.Len() {
+		t.Fatalf("store lengths differ: oracle=%d batch=%d spill=%d", len(recs), batch.Len(), spill.Len())
 	}
 
 	c := diffContext(1)
@@ -68,7 +45,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	for _, m := range schemeMakers(t) {
 		// Plain replay.
 		es, eb, ep := m.mk(t), m.mk(t), m.mk(t)
-		scalar.Replay(es)
+		feed(recs, nil, es)
 		batch.Replay(eb)
 		spill.Replay(ep)
 		if es.Stats() != eb.Stats() || eb.Stats() != ep.Stats() {
@@ -76,7 +53,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		}
 		// Directive-patched replay.
 		ds, db, dp := m.mk(t), m.mk(t), m.mk(t)
-		scalar.ReplayDirs(dirs, ds)
+		feed(recs, dirs, ds)
 		batch.ReplayDirs(dirs, db)
 		spill.ReplayDirs(dirs, dp)
 		if ds.Stats() != db.Stats() || db.Stats() != dp.Stats() {
@@ -85,7 +62,8 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		// Single-pass multi-configuration evaluation.
 		ms1, ms2 := m.mk(t), m.mk(t)
 		mb1, mb2 := m.mk(t), m.mk(t)
-		scalar.MultiEval(trace.EvalConfig{Consumer: ms1}, trace.EvalConfig{Dirs: dirs, Consumer: ms2})
+		feed(recs, nil, ms1)
+		feed(recs, dirs, ms2)
 		batch.MultiEval(trace.EvalConfig{Consumer: mb1}, trace.EvalConfig{Dirs: dirs, Consumer: mb2})
 		if ms1.Stats() != mb1.Stats() || ms2.Stats() != mb2.Stats() {
 			t.Errorf("%s/MultiEval: stats diverge between scalar and batch paths", m.name)
@@ -94,13 +72,13 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 
 	// Profiler collectors, register and store-value.
 	cs, cb := profiler.NewCollector(), profiler.NewCollector()
-	scalar.Replay(cs)
+	feed(recs, nil, cs)
 	batch.Replay(cb)
 	if !reflect.DeepEqual(collectorStats(cs.ForEach), collectorStats(cb.ForEach)) {
 		t.Error("profiler.Collector: batch kernel diverges from scalar")
 	}
 	ss, sb := profiler.NewStoreCollector(), profiler.NewStoreCollector()
-	scalar.Replay(ss)
+	feed(recs, nil, ss)
 	spill.Replay(sb)
 	if !reflect.DeepEqual(collectorStats(ss.ForEach), collectorStats(sb.ForEach)) {
 		t.Error("profiler.StoreCollector: batch kernel diverges from scalar")
@@ -108,7 +86,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 
 	// Classification shadow (infinite stride table).
 	ps, pb := newProfileShadow(), newProfileShadow()
-	scalar.ReplayDirs(dirs, ps)
+	feed(recs, dirs, ps)
 	batch.ReplayDirs(dirs, pb)
 	if ps.stats != pb.stats {
 		t.Errorf("profileShadow: scalar %+v, batch %+v", ps.stats, pb.stats)
@@ -125,44 +103,13 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	}
 	is, ib := mkILP(), mkILP()
 	egs, egb := schemeMakers(t)[0].mk(t), schemeMakers(t)[0].mk(t)
-	scalar.MultiEval(trace.EvalConfig{Consumer: is}, trace.EvalConfig{Dirs: dirs, Consumer: egs})
+	feed(recs, nil, is)
+	feed(recs, dirs, egs)
 	batch.MultiEval(trace.EvalConfig{Consumer: ib}, trace.EvalConfig{Dirs: dirs, Consumer: egb})
 	if is.Result() != ib.Result() {
 		t.Errorf("ILP mixed MultiEval: scalar %+v, batch %+v", is.Result(), ib.Result())
 	}
 	if egs.Stats() != egb.Stats() {
 		t.Errorf("engine in ILP-mixed MultiEval: scalar %+v, batch %+v", egs.Stats(), egb.Stats())
-	}
-}
-
-// TestBatchRegistryDeterminism is the end-to-end batch equivalence gate the
-// CI asserts: the full registry (paper artifacts plus extensions) rendered
-// with the default batch replay path and with ScalarReplay forced must
-// match byte-for-byte.
-func TestBatchRegistryDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice")
-	}
-	runners := append(append([]Runner{}, Registry...), ExtRegistry...)
-	render := func(scalarReplay bool) []string {
-		c := diffContext(0)
-		c.ScalarReplay = scalarReplay
-		outs := RunAll(c, runners, 0)
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("scalar=%v %s: %v", scalarReplay, o.Runner.ID, o.Err)
-			}
-			texts[i] = o.Result.Render()
-		}
-		return texts
-	}
-	batch := render(false)
-	scalar := render(true)
-	for i := range batch {
-		if batch[i] != scalar[i] {
-			t.Errorf("%s renders differently on the batch path:\n--- batch ---\n%s\n--- scalar ---\n%s",
-				runners[i].ID, batch[i], scalar[i])
-		}
 	}
 }

@@ -12,24 +12,23 @@ import (
 
 // This file is the end-to-end record-path differential suite: the fused
 // execute+encode column path (the VM writing straight into staging columns,
-// chunk-seal batch encoding, the encode-ahead pipeline) must produce traces
-// byte-identical to the scalar per-record reference path (-scalar-record),
-// for every benchmark in the registry and both trace-file formats.
+// chunk encoding at flush) must produce traces byte-identical to the oracle,
+// the VM's per-record step loop, for every benchmark in the registry.
 
 // recordFile runs bench's evaluation input once with a trace-file Writer as
 // the sole consumer — the vprun -trace shape — and returns the file bytes.
-// scalar forces the per-record reference path; otherwise a v2 writer records
-// through the fused column stage.
-func recordFile(t *testing.T, bench string, format trace.Format, scalar bool) []byte {
+// oracle hides the writer's column stage, so the VM takes its per-record
+// step loop; otherwise it records through the fused column stage.
+func recordFile(t *testing.T, bench string, oracle bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := trace.NewWriterFormat(&buf, format)
+	tw, err := trace.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sink trace.Consumer = tw
-	if scalar {
-		sink = trace.ScalarOnly(tw)
+	if oracle {
+		sink = consumerOnly{tw}
 	}
 	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), sink); err != nil {
 		t.Fatal(err)
@@ -40,34 +39,29 @@ func recordFile(t *testing.T, bench string, format trace.Format, scalar bool) []
 	return buf.Bytes()
 }
 
-// TestFusedTraceFilesMatchScalarRecord byte-diffs fused against scalar-record
-// trace files across the full workload registry — the acceptance gate of the
-// record-path overhaul. Short mode keeps one benchmark per format; the CI
-// record-path job runs the full matrix.
+// TestFusedTraceFilesMatchScalarRecord byte-diffs fused trace files against
+// files written from the per-record step loop, across the full workload
+// registry. Short mode keeps one benchmark.
 func TestFusedTraceFilesMatchScalarRecord(t *testing.T) {
 	benches := workload.AllNames()
 	if testing.Short() {
 		benches = benches[:1]
 	}
 	for _, bench := range benches {
-		for _, format := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-			fused := recordFile(t, bench, format, false)
-			scalar := recordFile(t, bench, format, true)
-			if !bytes.Equal(fused, scalar) {
-				t.Errorf("%s format %v: fused trace file differs from scalar-record (%d vs %d bytes)",
-					bench, format, len(fused), len(scalar))
-			}
+		fused, oracle := recordFile(t, bench, false), recordFile(t, bench, true)
+		if !bytes.Equal(fused, oracle) {
+			t.Errorf("%s: fused trace file differs from the step-loop oracle (%d vs %d bytes)",
+				bench, len(fused), len(oracle))
 		}
 	}
 }
 
 // recordLive records bench's evaluation stream into a Recorder that is the
-// VM's sole consumer, so the fused column path engages (unless scalar or a
-// sealed recorder forces the reference loop).
-func recordLive(t *testing.T, bench string, configure func(*trace.Recorder)) *trace.Recorder {
+// VM's sole consumer, so the fused column path engages.
+func recordLive(t *testing.T, bench string, budget int64) *trace.Recorder {
 	t.Helper()
 	rc := trace.NewRecorder()
-	configure(rc)
+	rc.SetMemBudget(budget)
 	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), rc); err != nil {
 		t.Fatal(err)
 	}
@@ -76,49 +70,30 @@ func recordLive(t *testing.T, bench string, configure func(*trace.Recorder)) *tr
 	return rc
 }
 
-// TestFusedRecorderMatchesScalarRecordLive records the same benchmark through
-// the fused path (resident and fully spilled) and the scalar-record reference
-// and requires identical encoded sizes and byte-identical replayed trace
-// files. Workload execution is deterministic in (bench, input), so the three
-// runs observe the same instruction stream.
+// TestFusedRecorderMatchesScalarRecordLive records a benchmark through the
+// fused path (resident and fully spilled) and requires both to replay
+// exactly the step-loop oracle stream, with the same encoded size as a
+// Recorder fed that stream record by record. Workload execution is
+// deterministic in (bench, input), so every run observes the same stream.
 func TestFusedRecorderMatchesScalarRecordLive(t *testing.T) {
 	const bench = "compress"
-	fused := recordLive(t, bench, func(rc *trace.Recorder) {})
-	scalar := recordLive(t, bench, func(rc *trace.Recorder) { rc.SetScalarRecord(true) })
-	spill := recordLive(t, bench, func(rc *trace.Recorder) { rc.SetMemBudget(1) })
+	recs := liveRecords(t, bench)
+	fused := recordLive(t, bench, 0)
+	spill := recordLive(t, bench, 1)
 	if spill.SpilledChunks() == 0 {
 		t.Fatal("1-byte budget spilled nothing (spill path not exercised)")
 	}
-
-	if fused.Len() != scalar.Len() || fused.Len() != spill.Len() {
-		t.Fatalf("lengths differ: fused=%d scalar=%d spilled=%d", fused.Len(), scalar.Len(), spill.Len())
+	ref, _ := recordStores(t, recs)
+	if fused.EncodedBytes() != ref.EncodedBytes() || spill.EncodedBytes() != ref.EncodedBytes() {
+		t.Fatalf("encoded sizes differ: fused=%d spilled=%d per-record=%d",
+			fused.EncodedBytes(), spill.EncodedBytes(), ref.EncodedBytes())
 	}
-	// Equal encoded size is the cheap whole-trace proxy for chunk-level byte
-	// identity (the trace package's differential tests pin the bytes
-	// themselves).
-	if fused.EncodedBytes() != scalar.EncodedBytes() || fused.EncodedBytes() != spill.EncodedBytes() {
-		t.Fatalf("encoded sizes differ: fused=%d scalar=%d spilled=%d",
-			fused.EncodedBytes(), scalar.EncodedBytes(), spill.EncodedBytes())
-	}
-
-	dump := func(rc *trace.Recorder) []byte {
-		var buf bytes.Buffer
-		tw, err := trace.NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
+	for name, rc := range map[string]*trace.Recorder{"fused": fused, "spilled fused": spill} {
+		var got capture
+		rc.Replay(&got)
+		if !reflect.DeepEqual(recs, got.recs) {
+			t.Errorf("%s recorder replays a different stream than the step-loop oracle", name)
 		}
-		rc.Replay(tw)
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := dump(scalar)
-	if !bytes.Equal(dump(fused), want) {
-		t.Error("fused recorder replays a different stream than scalar-record")
-	}
-	if !bytes.Equal(dump(spill), want) {
-		t.Error("spilled fused recorder replays a different stream than scalar-record")
 	}
 }
 
@@ -133,42 +108,10 @@ func TestFusedCollectorMatchesScalar(t *testing.T) {
 	if _, err := workload.BuildAndRun(bench, in, fused); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.BuildAndRun(bench, in, trace.ScalarOnly(scalar)); err != nil {
+	if _, err := workload.BuildAndRun(bench, in, consumerOnly{scalar}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(collectorStats(fused.ForEach), collectorStats(scalar.ForEach)) {
 		t.Error("fused-fed profiler.Collector diverges from scalar delivery")
-	}
-}
-
-// TestRecordRegistryDeterminism is the end-to-end record equivalence gate the
-// CI asserts: the full registry (paper artifacts plus extensions) rendered
-// with the default fused record path and with ScalarRecord forced must match
-// byte-for-byte.
-func TestRecordRegistryDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice")
-	}
-	runners := append(append([]Runner{}, Registry...), ExtRegistry...)
-	render := func(scalarRecord bool) []string {
-		c := diffContext(0)
-		c.ScalarRecord = scalarRecord
-		outs := RunAll(c, runners, 0)
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("scalarRecord=%v %s: %v", scalarRecord, o.Runner.ID, o.Err)
-			}
-			texts[i] = o.Result.Render()
-		}
-		return texts
-	}
-	fused := render(false)
-	scalar := render(true)
-	for i := range fused {
-		if fused[i] != scalar[i] {
-			t.Errorf("%s renders differently on the fused record path:\n--- fused ---\n%s\n--- scalar ---\n%s",
-				runners[i].ID, fused[i], scalar[i])
-		}
 	}
 }

@@ -8,30 +8,7 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/vpsim"
-	"repro/internal/workload"
 )
-
-// recordTriple runs the benchmark's evaluation input exactly once, recording
-// the same live stream into the AoS baseline store, the columnar store, and
-// a columnar store forced to spill every chunk.
-func recordTriple(t *testing.T, bench string) (*trace.AoSRecorder, *trace.Recorder, *trace.Recorder) {
-	t.Helper()
-	aos := trace.NewAoSRecorder()
-	col := trace.NewRecorder()
-	spill := trace.NewRecorder()
-	spill.SetMemBudget(1)
-	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), trace.Tee{aos, col, spill}); err != nil {
-		t.Fatal(err)
-	}
-	aos.Seal()
-	col.Seal()
-	spill.Seal()
-	if spill.SpilledChunks() == 0 {
-		t.Fatalf("%s: 1-byte budget spilled nothing", bench)
-	}
-	t.Cleanup(func() { spill.Close() })
-	return aos, col, spill
-}
 
 type engineMaker struct {
 	name string
@@ -82,14 +59,16 @@ func schemeMakers(t *testing.T) []engineMaker {
 	}
 }
 
-// TestSchemesAoSColumnarSpilled proves every predictor scheme observes a
-// bit-identical stream from the three trace stores, through Replay,
-// ReplayDirs and MultiEval alike, and that the ILP timing model agrees too.
+// TestSchemesAoSColumnarSpilled proves every predictor scheme observes the
+// oracle stream (the live run as a plain []Record, fed record by record)
+// from the resident and spilled columnar stores, through Replay, ReplayDirs
+// and MultiEval alike, and that the ILP timing model agrees too.
 func TestSchemesAoSColumnarSpilled(t *testing.T) {
 	const bench = "compress"
-	aos, col, spill := recordTriple(t, bench)
-	if aos.Len() != col.Len() || col.Len() != spill.Len() {
-		t.Fatalf("store lengths differ: aos=%d col=%d spill=%d", aos.Len(), col.Len(), spill.Len())
+	aos := liveRecords(t, bench)
+	col, spill := recordStores(t, aos)
+	if int64(len(aos)) != col.Len() || col.Len() != spill.Len() {
+		t.Fatalf("store lengths differ: aos=%d col=%d spill=%d", len(aos), col.Len(), spill.Len())
 	}
 
 	c := diffContext(1)
@@ -102,7 +81,7 @@ func TestSchemesAoSColumnarSpilled(t *testing.T) {
 	for _, m := range schemeMakers(t) {
 		// Plain replay.
 		ea, ec, es := m.mk(t), m.mk(t), m.mk(t)
-		aos.Replay(ea)
+		feed(aos, nil, ea)
 		col.Replay(ec)
 		spill.Replay(es)
 		if ea.Stats() != ec.Stats() || ec.Stats() != es.Stats() {
@@ -110,7 +89,7 @@ func TestSchemesAoSColumnarSpilled(t *testing.T) {
 		}
 		// Directive-patched replay.
 		da, dc, ds := m.mk(t), m.mk(t), m.mk(t)
-		aos.ReplayDirs(dirs, da)
+		feed(aos, dirs, da)
 		col.ReplayDirs(dirs, dc)
 		spill.ReplayDirs(dirs, ds)
 		if da.Stats() != dc.Stats() || dc.Stats() != ds.Stats() {
@@ -120,7 +99,8 @@ func TestSchemesAoSColumnarSpilled(t *testing.T) {
 		ma1, ma2 := m.mk(t), m.mk(t)
 		mc1, mc2 := m.mk(t), m.mk(t)
 		ms1, ms2 := m.mk(t), m.mk(t)
-		aos.MultiEval(trace.EvalConfig{Consumer: ma1}, trace.EvalConfig{Dirs: dirs, Consumer: ma2})
+		feed(aos, nil, ma1)
+		feed(aos, dirs, ma2)
 		col.MultiEval(trace.EvalConfig{Consumer: mc1}, trace.EvalConfig{Dirs: dirs, Consumer: mc2})
 		spill.MultiEval(trace.EvalConfig{Consumer: ms1}, trace.EvalConfig{Dirs: dirs, Consumer: ms2})
 		if ma1.Stats() != mc1.Stats() || mc1.Stats() != ms1.Stats() ||
@@ -138,55 +118,10 @@ func TestSchemesAoSColumnarSpilled(t *testing.T) {
 		return m
 	}
 	ia, ic, is := mkILP(), mkILP(), mkILP()
-	aos.Replay(ia)
+	feed(aos, nil, ia)
 	col.Replay(ic)
 	spill.Replay(is)
 	if ia.Result() != ic.Result() || ic.Result() != is.Result() {
 		t.Errorf("ILP: aos %+v, columnar %+v, spilled %+v", ia.Result(), ic.Result(), is.Result())
-	}
-}
-
-// TestSpillBudgetRegistryDeterminism is the end-to-end spill equivalence
-// gate: the full registry rendered with fully resident traces and with a
-// 1-byte trace memory budget (every chunk spilled and streamed back from
-// disk) must match byte-for-byte.
-func TestSpillBudgetRegistryDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice")
-	}
-	runners := append(append([]Runner{}, Registry...), ExtRegistry...)
-	render := func(budget int64) []string {
-		c := diffContext(0)
-		c.TraceMemBudget = budget
-		outs := RunAll(c, runners, 0)
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("budget=%d %s: %v", budget, o.Runner.ID, o.Err)
-			}
-			texts[i] = o.Result.Render()
-		}
-		if budget > 0 {
-			spilled := int64(0)
-			for _, bench := range workload.Names() {
-				rec, err := c.EvalTrace(bench)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spilled += rec.SpilledChunks()
-			}
-			if spilled == 0 {
-				t.Fatal("budgeted run spilled nothing — spill path not exercised")
-			}
-		}
-		return texts
-	}
-	resident := render(0)
-	spilled := render(1)
-	for i := range resident {
-		if resident[i] != spilled[i] {
-			t.Errorf("%s renders differently with spilled traces:\n--- resident ---\n%s\n--- spilled ---\n%s",
-				runners[i].ID, resident[i], spilled[i])
-		}
 	}
 }

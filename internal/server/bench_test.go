@@ -18,10 +18,7 @@ import (
 
 func benchServer(b *testing.B) (*Server, *httptest.Server) {
 	b.Helper()
-	s := New(Config{Workers: 4, QueueDepth: 256, RequestTimeout: 5 * time.Minute, ResultCache: 8192, TraceCache: 64})
-	ts := httptest.NewServer(s.Handler())
-	b.Cleanup(ts.Close)
-	return s, ts
+	return newTestServer(b, Config{Workers: 4, QueueDepth: 256, RequestTimeout: 5 * time.Minute, ResultCache: 8192, TraceCache: 64})
 }
 
 func benchEvaluate(b *testing.B, ts *httptest.Server, req EvaluateRequest) {

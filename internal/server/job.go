@@ -615,8 +615,6 @@ func (s *Server) recordedTrace(p *program.Program, fp string) (*trace.Recorder, 
 		}
 		rec := trace.NewRecorder()
 		rec.SetMemBudget(s.cfg.TraceMemBudget)
-		rec.SetScalarReplay(s.cfg.ScalarReplay)
-		rec.SetScalarRecord(s.cfg.ScalarRecord)
 		if _, err := workload.RunConfig(p, s.vmConfig(), rec); err != nil {
 			return nil, err
 		}
@@ -630,7 +628,6 @@ func (s *Server) recordedTrace(p *program.Program, fp string) (*trace.Recorder, 
 		s.metrics.TraceRecords.Add(rec.Len())
 		s.metrics.TraceEncodedBytes.Add(rec.EncodedBytes())
 		s.metrics.TraceChunksEncoded.Add(rec.ChunksEncoded())
-		s.metrics.EncodeAheadStalls.Add(rec.EncodeStalls())
 		s.metrics.RecordNanos.Add(recordTime.Nanoseconds())
 		s.metrics.ObserveStage(stageRecord, recordTime)
 		s.metrics.ObserveStage(stageEncode, rec.EncodeTime())

@@ -167,13 +167,10 @@ type Metrics struct {
 	TraceEncodedBytes  atomic.Int64
 
 	// Record-side accounting (DESIGN.md §15). TraceChunksEncoded counts
-	// column chunks sealed through the chunk codec; EncodeAheadStalls counts
-	// the times the fused recording loop had to wait for the background
-	// encoder (backpressure from the encode-ahead pipeline); RecordNanos
-	// accumulates wall time spent in the record stage, giving the observed
-	// recording throughput next to TraceRecords.
+	// column chunks sealed through the chunk codec; RecordNanos accumulates
+	// wall time spent in the record stage, giving the observed recording
+	// throughput next to TraceRecords.
 	TraceChunksEncoded atomic.Int64
-	EncodeAheadStalls  atomic.Int64
 	RecordNanos        atomic.Int64
 
 	stages map[string]*Histogram
@@ -230,12 +227,10 @@ type MetricsSnapshot struct {
 	TraceChunksSpilled       int64   `json:"trace_chunks_spilled"`
 	TraceCodecBytesPerRecord float64 `json:"trace_codec_bytes_per_record"`
 
-	// Record side: chunks sealed through the column codec, stalls of the
-	// fused recording loop on the encode-ahead pipeline, and the observed
+	// Record side: chunks sealed through the column codec and the observed
 	// recording throughput (recorded instructions over record-stage wall
 	// time, in millions per second; 0 until something is recorded).
 	TraceChunksEncoded int64   `json:"trace_chunks_encoded"`
-	EncodeAheadStalls  int64   `json:"encode_ahead_stalls"`
 	RecordMinstrPerS   float64 `json:"record_minstr_per_s"`
 
 	Caches map[string]CacheStats        `json:"caches"`

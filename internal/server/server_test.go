@@ -18,7 +18,7 @@ import (
 )
 
 // newTestServer returns a small daemon and its httptest front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())

@@ -60,9 +60,6 @@ func TestRecordPathMetrics(t *testing.T) {
 	if snap.RecordMinstrPerS <= 0 {
 		t.Errorf("record_minstr_per_s = %g, want > 0 after recording", snap.RecordMinstrPerS)
 	}
-	if snap.EncodeAheadStalls < 0 {
-		t.Errorf("encode_ahead_stalls = %d, want ≥ 0", snap.EncodeAheadStalls)
-	}
 	enc, ok := snap.Stages["encode"]
 	if !ok {
 		t.Fatal("stages missing the encode histogram")
@@ -72,34 +69,6 @@ func TestRecordPathMetrics(t *testing.T) {
 	}
 	if rec := snap.Stages["record"]; rec.Count <= 0 {
 		t.Errorf("record stage count = %d, want > 0", rec.Count)
-	}
-}
-
-// TestScalarRecordServerMatchesFused runs the same sweep on a default server
-// and a -scalar-record server; results must be byte-identical (the storage
-// sections included — both paths encode the same chunks).
-func TestScalarRecordServerMatchesFused(t *testing.T) {
-	req := EvaluateRequest{Bench: "compress", Thresholds: []float64{90, 50}}
-	runLeg := func(scalar bool) json.RawMessage {
-		_, ts := newTestServer(t, Config{Workers: 1, ScalarRecord: scalar})
-		resp, raw := postJSON(t, ts.URL+"/v1/evaluate", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("scalar=%v evaluate: %d\n%s", scalar, resp.StatusCode, raw)
-		}
-		run := decodeJob(t, raw).Result
-		if run == nil {
-			t.Fatalf("scalar=%v: no result", scalar)
-		}
-		enc, err := json.Marshal(run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
-	fused := runLeg(false)
-	scalar := runLeg(true)
-	if string(fused) != string(scalar) {
-		t.Errorf("scalar-record result differs from fused:\nfused:  %s\nscalar: %s", fused, scalar)
 	}
 }
 

@@ -7,19 +7,16 @@ import (
 	"repro/internal/isa"
 )
 
-// This file defines the batch (column-at-a-time) replay surface. The scalar
-// Consumer contract materializes one Record struct per retired instruction
-// and pays an interface dispatch per record; at replay rates of tens of
-// millions of records per second that reconstitution-plus-dispatch is the
-// dominant cost (BenchmarkBatchKernels measures it directly). A
-// BatchConsumer instead receives each decoded chunk as a Batch — the
+// This file defines the batch (column-at-a-time) replay surface. A
+// BatchConsumer receives each decoded chunk as a Batch — the
 // structure-of-arrays columns of codec.go, decoded once — and runs its own
 // tight loop over the column slices, so the per-record cost collapses to
-// the consumer's real work. Replay, ReplayDirs and MultiEval hand batches
-// to consumers that support them and fall back to the scalar path (which
-// remains the reference implementation) otherwise; the two paths are proven
-// bit-identical by the differential tests in batch_test.go and
-// internal/experiments.
+// the consumer's real work: no Record materialization, no interface
+// dispatch per record (BenchmarkBatchKernels measures the kernels). Every
+// replay walks batches; consumers that only implement Consumer get records
+// materialized from the batch by Batch.Records, and the differential tests
+// in batch_test.go and internal/experiments prove both deliveries
+// bit-identical to the oracle stream.
 
 // Flag bits of the Batch.Flags column, mirroring the boolean fields of
 // Record (codec.go packs them; bits 4-5 carry the recorded directive, which
@@ -70,14 +67,15 @@ type Batch struct {
 	// Seq holds the dynamic sequence number of each record.
 	Seq []int64
 
-	raw []byte // spill read scratch; owned by this batch so pipelined reads never alias a batch a consumer still holds
+	raw  []byte   // spill read scratch; owned by this batch so pipelined reads never alias a batch a consumer still holds
+	recs []Record // the batch materialized as records, for scalar consumers (when the walk asks for it)
 }
 
 // BatchConsumer is a Consumer that can additionally accept whole decoded
-// chunks. Replay/ReplayDirs feed batches when every consumer implements it
-// (and MultiEval per configuration); the embedded scalar Consume still
-// handles the partially filled staging tail of an unsealed Recorder and any
-// scalar-only producer, so a batch kernel must keep both entry points
+// chunks. Every replay path, the unsealed staging tail and the live fused
+// VM loop (through ColumnSink) deliver batches to it; the embedded scalar
+// Consume still serves producers that emit single records (a fan-out Tee,
+// fault-injected VM runs), so a batch kernel must keep both entry points
 // consistent — the differential tests enforce that bit-for-bit.
 type BatchConsumer interface {
 	Consumer
@@ -116,11 +114,10 @@ func (b *Batch) spillBuf(size int) []byte {
 	return b.raw
 }
 
-// Record materializes record i of the batch into r, bit-identical to what
-// the scalar replay path would have delivered (including any directive
-// patch applied to the Dir column). MultiEval uses it to serve scalar-only
-// consumers from a batch walk; batch kernels that need an occasional full
-// record (rather than columns) may use it too.
+// Record materializes record i of the batch into r (including any
+// directive patch applied to the Dir column). The replay walk uses it to
+// serve scalar consumers; batch kernels that need an occasional full record
+// (rather than columns) may use it too.
 func (b *Batch) Record(i int, r *Record) {
 	f := b.Flags[i]
 	r.Addr = b.Addr[i]
@@ -150,16 +147,14 @@ func (b *Batch) Records(out []Record) []Record {
 	return out
 }
 
-// batchPool recycles Batch column sets across replay passes, the batch-walk
-// twin of slabPool.
+// batchPool recycles Batch column sets across replay passes.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 func getBatch() *Batch  { return batchPool.Get().(*Batch) }
 func putBatch(b *Batch) { batchPool.Put(b) }
 
 // patchDirs overwrites dst with the ReplayDirs directive table lookup for
-// each address: dirs[addr], or DirNone outside the table — the column form
-// of the scalar patch loop.
+// each address: dirs[addr], or DirNone outside the table.
 func patchDirs(dst []isa.Directive, addrs []int64, dirs []isa.Directive) {
 	n := int64(len(dirs))
 	for i, a := range addrs {

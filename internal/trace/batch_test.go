@@ -14,8 +14,8 @@ import (
 
 // batchCapture records every delivered record through both consumer
 // contracts, materializing batches record by record through Batch.Record —
-// so comparing its stream against a scalar capture checks every column of
-// every batch against the reference decode, field for field.
+// so comparing its stream against the oracle checks every column of every
+// batch, field for field.
 type batchCapture struct {
 	recs    []Record
 	batches int
@@ -51,43 +51,45 @@ func fillRandom(rng *rand.Rand, n int64, rc *Recorder) []Record {
 	return recs
 }
 
-// TestBatchMatchesScalarReplay is the core batch differential test: the
-// batch walk must deliver the same streams as the scalar reference path for
-// Replay and ReplayDirs, across chunk boundaries and with a partial staged
-// tail (which always flows through scalar Consume).
+// TestBatchMatchesScalarReplay is the core batch differential test: batch
+// and scalar consumers must both receive the oracle stream from Replay and
+// ReplayDirs, across chunk boundaries and with a partial staged tail (which
+// batch consumers receive as a batch over the staging columns).
 func TestBatchMatchesScalarReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rc := NewRecorder()
-	fillRandom(rng, recorderChunkSize+recorderChunkSize/2, rc)
+	recs := fillRandom(rng, recorderChunkSize+recorderChunkSize/2, rc)
 
-	var want capture // scalar-only consumer: forces the reference walk
-	rc.Replay(&want)
+	var scalar capture
+	rc.Replay(&scalar)
 	got := &batchCapture{}
 	rc.Replay(got)
-	if got.batches == 0 {
-		t.Fatal("batch consumer never received a batch")
+	if got.batches != 2 || got.scalars != 0 {
+		t.Fatalf("batch consumer got %d batches and %d records, want 2 batches (chunk + tail) and 0 records",
+			got.batches, got.scalars)
 	}
-	if got.scalars != recorderChunkSize/2 {
-		t.Fatalf("staged tail delivered %d scalar records, want %d", got.scalars, recorderChunkSize/2)
+	if !reflect.DeepEqual(recs, scalar.recs) {
+		t.Fatal("scalar Replay differs from the oracle stream")
 	}
-	if !reflect.DeepEqual(want.recs, got.recs) {
-		t.Fatal("batch Replay differs from the scalar reference")
+	if !reflect.DeepEqual(recs, got.recs) {
+		t.Fatal("batch Replay differs from the oracle stream")
 	}
 
 	dirs := testDirs(rng)
-	var wantD capture
-	rc.ReplayDirs(dirs, &wantD)
+	wantD := oracleDirs(recs, dirs)
+	var scalarD capture
+	rc.ReplayDirs(dirs, &scalarD)
 	gotD := &batchCapture{}
 	rc.ReplayDirs(dirs, gotD)
-	if !reflect.DeepEqual(wantD.recs, gotD.recs) {
-		t.Fatal("batch ReplayDirs differs from the scalar reference")
+	if !reflect.DeepEqual(wantD, scalarD.recs) || !reflect.DeepEqual(wantD, gotD.recs) {
+		t.Fatal("ReplayDirs differs from the oracle stream")
 	}
 
 	// The multi-consumer batch fan-out must match too.
 	gA, gB := &batchCapture{}, &batchCapture{}
 	rc.Replay(gA, gB)
-	if !reflect.DeepEqual(want.recs, gA.recs) || !reflect.DeepEqual(want.recs, gB.recs) {
-		t.Fatal("multi-consumer batch Replay differs from the scalar reference")
+	if !reflect.DeepEqual(recs, gA.recs) || !reflect.DeepEqual(recs, gB.recs) {
+		t.Fatal("multi-consumer batch Replay differs from the oracle stream")
 	}
 }
 
@@ -113,9 +115,12 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 			t.Fatalf("budget %d: nothing spilled", budget)
 		}
 
-		var want, wantD capture
-		rc.Replay(&want)
-		rc.ReplayDirs(dirs, &wantD)
+		want, wantD := capture{recs}, capture{oracleDirs(recs, dirs)}
+		var scalar capture
+		rc.Replay(&scalar)
+		if !reflect.DeepEqual(want.recs, scalar.recs) {
+			t.Fatalf("budget %d: scalar Replay differs from the oracle", budget)
+		}
 
 		got, gotD := &batchCapture{}, &batchCapture{}
 		rc.Replay(got)
@@ -145,13 +150,9 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 func TestBatchMultiEvalMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rc := NewRecorder()
-	fillRandom(rng, 2*recorderChunkSize+777, rc)
+	recs := fillRandom(rng, 2*recorderChunkSize+777, rc)
 	dirs := testDirs(rng)
-
-	var want, wantD, wantShort capture
-	rc.Replay(&want)
-	rc.ReplayDirs(dirs, &wantD)
-	rc.ReplayDirs(dirs[:100], &wantShort)
+	want, wantD, wantShort := capture{recs}, capture{oracleDirs(recs, dirs)}, capture{oracleDirs(recs, dirs[:100])}
 
 	b1, b2 := &batchCapture{}, &batchCapture{}
 	var s1, s2 capture
@@ -198,19 +199,7 @@ func TestBatchFileRoundTrip(t *testing.T) {
 		}
 	}
 	for _, format := range []Format{FormatV1, FormatV2} {
-		var buf bytes.Buffer
-		w, err := NewWriterFormat(&buf, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range orig {
-			w.Consume(&orig[i])
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		tr, err := NewReader(bytes.NewReader(writeFormat(t, format, orig)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,45 +230,19 @@ func TestBatchFileRoundTrip(t *testing.T) {
 }
 
 // TestBatchCounterMatchesScalar pins the Counter batch kernel against its
-// scalar loop.
+// per-record Consume over the oracle stream.
 func TestBatchCounterMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rc := NewRecorder()
-	fillRandom(rng, recorderChunkSize+99, rc)
+	recs := fillRandom(rng, recorderChunkSize+99, rc)
 
 	var scalar, batch Counter
-	rc.SetScalarReplay(true)
-	rc.Replay(&scalar)
-	rc.SetScalarReplay(false)
+	for i := range recs {
+		scalar.Consume(&recs[i])
+	}
 	rc.Replay(&batch)
 	if scalar != batch {
 		t.Fatalf("Counter batch kernel %+v differs from scalar %+v", batch, scalar)
-	}
-}
-
-// TestScalarReplayEscapeHatch checks SetScalarReplay forces the reference
-// path: a batch-capable consumer must see only scalar Consume calls.
-func TestScalarReplayEscapeHatch(t *testing.T) {
-	rc := NewRecorder()
-	for i := int64(0); i < recorderChunkSize; i++ {
-		r := synthRecord(i)
-		rc.Consume(&r)
-	}
-	rc.Seal()
-	rc.SetScalarReplay(true)
-
-	c := &batchCapture{}
-	rc.Replay(c)
-	if c.batches != 0 {
-		t.Fatalf("scalar-replay Replay delivered %d batches, want 0", c.batches)
-	}
-	if c.scalars != recorderChunkSize {
-		t.Fatalf("scalar-replay Replay delivered %d records, want %d", c.scalars, recorderChunkSize)
-	}
-	m := &batchCapture{}
-	rc.MultiEval(EvalConfig{Consumer: m})
-	if m.batches != 0 {
-		t.Fatalf("scalar-replay MultiEval delivered %d batches, want 0", m.batches)
 	}
 }
 
@@ -372,7 +335,7 @@ func TestRecordingPooledBuffers(t *testing.T) {
 
 // TestReplayResidentBytes pins the spill-aware resident accounting: fully
 // resident recorders report their encoded bytes, spilled ones add the
-// double-buffered readback working set instead of reporting zero.
+// readback buffers in flight instead of reporting zero.
 func TestReplayResidentBytes(t *testing.T) {
 	resident := NewRecorder()
 	for i := int64(0); i < recorderChunkSize; i++ {
@@ -402,7 +365,8 @@ func TestReplayResidentBytes(t *testing.T) {
 	if got <= 0 {
 		t.Fatalf("spilled ReplayResidentBytes = %d, want > 0", got)
 	}
-	// Two read buffers of the largest chunk.
+	// At most two read buffers of the largest chunk: one decode lane over
+	// two chunks, or the single inline buffer.
 	if max := spilled.EncodedBytes(); got >= 2*max {
 		t.Fatalf("spilled ReplayResidentBytes = %d, want < 2*EncodedBytes (%d)", got, 2*max)
 	}

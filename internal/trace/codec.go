@@ -44,106 +44,31 @@ import (
 // chunkColumns is the number of varint columns when seq is included.
 const chunkColumns = 5
 
-// chunkEncoder encodes record slices into the packed columnar form. The
-// per-column scratch buffers are reused across chunks, so a long recording
-// allocates only the retained chunk encodings. buf is the encode output
-// scratch the Recorder assembles chunks in before copying out exactly the
-// retained bytes (or spilling with no copy at all); together with the
-// column buffers it makes a pooled encoder allocation-free in steady state.
+// chunkEncoder encodes staged column chunks into the packed columnar form.
+// Its scratch is reused across chunks, so a long recording allocates only
+// the retained chunk encodings: buf is the output the Recorder assembles
+// chunks in before copying out exactly the retained bytes (or spilling with
+// no copy at all), zz the zigzag transform of the column being encoded and
+// col the scratch an irregular-width column is assembled in.
 type chunkEncoder struct {
-	addr, value, mem, phase, seq []byte
-	buf                          []byte
-	zz                           []uint64 // zigzag scratch of the column encoder
-	col                          []byte   // irregular-width column scratch
+	buf []byte
+	zz  []uint64
+	col []byte
 }
 
-// zigzag/zagzig mirror encoding/binary's varint transform for signed ints.
+// zigzag mirrors encoding/binary's varint transform for signed ints (the
+// decoders inline its inverse, int64(u>>1) ^ -int64(u&1)).
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-func zagzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendZigzag appends the zigzag varint of v to dst.
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, zigzag(v))
-}
-
-// encode appends the columnar encoding of recs to dst and returns the
-// extended slice. firstSeq is the stream position of recs[0]; withSeq
-// selects whether the seq column is emitted (the in-memory Recorder keeps
-// it for bit-identical replay of arbitrary streams, the file format drops
-// it).
-func (e *chunkEncoder) encode(dst []byte, recs []Record, firstSeq int64, withSeq bool) []byte {
-	e.addr, e.value, e.mem, e.phase, e.seq =
-		e.addr[:0], e.value[:0], e.mem[:0], e.phase[:0], e.seq[:0]
-	var prevAddr, prevMem, prevPhase int64
-	for i := range recs {
-		r := &recs[i]
-		e.addr = appendZigzag(e.addr, r.Addr-prevAddr)
-		prevAddr = r.Addr
-		e.value = appendZigzag(e.value, r.Value)
-		e.mem = appendZigzag(e.mem, r.MemAddr-prevMem)
-		prevMem = r.MemAddr
-		e.phase = appendZigzag(e.phase, int64(r.Phase)-prevPhase)
-		prevPhase = int64(r.Phase)
-		if withSeq {
-			e.seq = appendZigzag(e.seq, r.Seq-(firstSeq+int64(i)))
-		}
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for i := range recs {
-		dst = append(dst, byte(recs[i].Op))
-	}
-	for i := range recs {
-		r := &recs[i]
-		f := byte(r.Dir) << 4
-		if r.HasDest {
-			f |= 1
-		}
-		if r.DestFP {
-			f |= 2
-		}
-		if r.Taken {
-			f |= 4
-		}
-		if r.HasMem {
-			f |= 8
-		}
-		dst = append(dst, f)
-	}
-	for i := range recs {
-		dst = append(dst, byte(recs[i].Dest))
-	}
-	for i := range recs {
-		for _, rd := range recs[i].Reads {
-			var b byte
-			if rd.Valid {
-				b = 0x80 | byte(rd.Reg)&0x3f
-				if rd.FP {
-					b |= 0x40
-				}
-			}
-			dst = append(dst, b)
-		}
-	}
-	cols := [][]byte{e.addr, e.value, e.mem, e.phase, e.seq}
-	if !withSeq {
-		cols = cols[:chunkColumns-1]
-	}
-	for _, col := range cols {
-		dst = binary.AppendUvarint(dst, uint64(len(col)))
-		dst = append(dst, col...)
-	}
-	return dst
-}
-
-// encodeCols appends the columnar encoding of the staged columns to dst —
-// the chunk-seal batch twin of encode, byte-identical to encoding the
-// equivalent Record slice. The fixed byte columns are already in codec
-// layout (one memcpy each); the integer columns run through one
-// delta+zigzag pass that OR/AND-accumulates a uniformity prescan, then the
-// speculative uniform-width emitters of appendCol — the encode mirror of
+// encodeCols appends the columnar encoding of the staged columns to dst;
+// withSeq selects whether the seq column is emitted (the in-memory Recorder
+// keeps it for bit-identical replay of arbitrary streams, the file format
+// drops it). The fixed byte columns are already in codec layout (one memcpy
+// each); the integer columns run through one delta+zigzag pass that
+// OR/AND-accumulates a uniformity prescan, then the speculative
+// uniform-width emitters of appendCol — the encode mirror of
 // decodeColUniform1/2. Canonical varints everywhere keep the output
-// bit-for-bit identical to binary.AppendUvarint.
+// bit-for-bit identical to per-value binary.AppendUvarint.
 func (e *chunkEncoder) encodeCols(dst []byte, st *RecordColumns, withSeq bool) []byte {
 	n := st.N
 	dst = binary.AppendUvarint(dst, uint64(n))
@@ -260,7 +185,7 @@ func (e *chunkEncoder) appendCol(dst []byte, zz []uint64, orv, andv uint64) []by
 	return dst
 }
 
-// chunkDecoder streams records back out of one encoded chunk. Decoding is
+// chunkDecoder decodes one encoded chunk into a Batch. Decoding is
 // strictly bounds-checked: any truncation, overlong varint, or trailing
 // garbage is an error, never a panic or an out-of-range read — the same
 // data path decodes trusted in-memory chunks and untrusted file frames.
@@ -270,12 +195,11 @@ type chunkDecoder struct {
 	addr, value, mem, phase, seq []byte
 	firstSeq                     int64
 	withSeq                      bool
-	strict                       bool // validate Op/Dir per record (file frames)
 }
 
 // init parses the chunk header and column bounds of data. firstSeq is the
 // stream position of the chunk's first record (the basis Seq derives from).
-func (d *chunkDecoder) init(data []byte, firstSeq int64, withSeq, strict bool) error {
+func (d *chunkDecoder) init(data []byte, firstSeq int64, withSeq bool) error {
 	n64, hdr := binary.Uvarint(data)
 	if hdr <= 0 {
 		return fmt.Errorf("trace: chunk header: bad record count")
@@ -333,143 +257,6 @@ func (d *chunkDecoder) init(data []byte, firstSeq int64, withSeq, strict bool) e
 		varCols[0], varCols[1], varCols[2], varCols[3], varCols[4]
 	d.firstSeq = firstSeq
 	d.withSeq = withSeq
-	d.strict = strict
-	return nil
-}
-
-// varcolSlow reads a multi-byte (or truncated) zigzag varint of col at
-// cursor ci, returning the value and the advanced cursor. The one-byte fast
-// path lives inline in decodeAll's column loops; this handles the rest.
-func varcolSlow(col []byte, ci int) (int64, int, error) {
-	u, n := binary.Uvarint(col[ci:])
-	if n <= 0 {
-		return 0, ci, fmt.Errorf("trace: chunk varint column truncated at byte %d", ci)
-	}
-	return zagzig(u), ci + n, nil
-}
-
-// decodeAll decodes every record of the initialized chunk into out, which
-// must hold exactly d.n records. The transpose runs column-at-a-time — one
-// tight loop per column rather than one function call per record — because
-// this is the replay hot path: walking a trace costs a few nanoseconds per
-// record in consumer dispatch, and the decode has to disappear next to it.
-// The varint loops inline the one-byte fast path (almost every delta in the
-// addr/mem/phase/seq columns) and fall into varcolSlow for the rest.
-func (d *chunkDecoder) decodeAll(out []Record) error {
-	out = out[:d.n]
-	ops, flags, dest, reads := d.ops, d.flags, d.dest, d.reads
-	firstSeq := d.firstSeq
-	for i := range out {
-		r := &out[i]
-		r.Op = isa.Opcode(ops[i])
-		r.Dest = isa.Reg(dest[i])
-		f := flags[i]
-		r.Dir = isa.Directive(f >> 4)
-		r.HasDest = f&1 != 0
-		r.DestFP = f&2 != 0
-		r.Taken = f&4 != 0
-		r.HasMem = f&8 != 0
-		b0, b1 := reads[2*i], reads[2*i+1]
-		r.Reads[0] = RegRead{Valid: b0&0x80 != 0, FP: b0&0x40 != 0, Reg: isa.Reg(b0 & 0x3f)}
-		r.Reads[1] = RegRead{Valid: b1&0x80 != 0, FP: b1&0x40 != 0, Reg: isa.Reg(b1 & 0x3f)}
-		r.Seq = firstSeq + int64(i)
-	}
-
-	col, ci := d.addr, 0
-	var acc int64
-	for i := range out {
-		var dv int64
-		if ci < len(col) && col[ci] < 0x80 {
-			dv = zagzig(uint64(col[ci]))
-			ci++
-		} else {
-			var err error
-			if dv, ci, err = varcolSlow(col, ci); err != nil {
-				return err
-			}
-		}
-		acc += dv
-		out[i].Addr = acc
-	}
-	// The value and mem columns carry full magnitudes, so a two-byte inline
-	// path earns its keep where the delta columns almost never need it.
-	col, ci = d.value, 0
-	for i := range out {
-		var v int64
-		if ci < len(col) && col[ci] < 0x80 {
-			v = zagzig(uint64(col[ci]))
-			ci++
-		} else if ci+1 < len(col) && col[ci+1] < 0x80 {
-			v = zagzig(uint64(col[ci]&0x7f) | uint64(col[ci+1])<<7)
-			ci += 2
-		} else {
-			var err error
-			if v, ci, err = varcolSlow(col, ci); err != nil {
-				return err
-			}
-		}
-		out[i].Value = v
-	}
-	col, ci, acc = d.mem, 0, 0
-	for i := range out {
-		var dv int64
-		if ci < len(col) && col[ci] < 0x80 {
-			dv = zagzig(uint64(col[ci]))
-			ci++
-		} else if ci+1 < len(col) && col[ci+1] < 0x80 {
-			dv = zagzig(uint64(col[ci]&0x7f) | uint64(col[ci+1])<<7)
-			ci += 2
-		} else {
-			var err error
-			if dv, ci, err = varcolSlow(col, ci); err != nil {
-				return err
-			}
-		}
-		acc += dv
-		out[i].MemAddr = acc
-	}
-	col, ci, acc = d.phase, 0, 0
-	for i := range out {
-		var dv int64
-		if ci < len(col) && col[ci] < 0x80 {
-			dv = zagzig(uint64(col[ci]))
-			ci++
-		} else {
-			var err error
-			if dv, ci, err = varcolSlow(col, ci); err != nil {
-				return err
-			}
-		}
-		acc += dv
-		out[i].Phase = int(acc)
-	}
-	if d.withSeq {
-		col, ci = d.seq, 0
-		for i := range out {
-			var dv int64
-			if ci < len(col) && col[ci] < 0x80 {
-				dv = zagzig(uint64(col[ci]))
-				ci++
-			} else {
-				var err error
-				if dv, ci, err = varcolSlow(col, ci); err != nil {
-					return err
-				}
-			}
-			out[i].Seq += dv
-		}
-	}
-
-	if d.strict {
-		for i := range out {
-			if !out[i].Op.Valid() {
-				return fmt.Errorf("trace: invalid opcode %d in record %d", d.ops[i], out[i].Seq)
-			}
-			if !out[i].Dir.Valid() {
-				return fmt.Errorf("trace: invalid directive %d in record %d", d.flags[i]>>4, out[i].Seq)
-			}
-		}
-	}
 	return nil
 }
 
@@ -553,21 +340,15 @@ func decodeColUniform2(col []byte, out []int64, delta bool) bool {
 
 // decodeColGeneric is the irregular-width decoder (in practice the value
 // column, whose magnitudes vary record to record, and mem columns that are
-// two bytes per delta with occasional exceptions).
-func decodeColGeneric(col []byte, out []int64, delta bool) error {
-	_, _, err := decodeGenericRun(col, 0, 0, out, delta)
-	return err
-}
-
-// decodeGenericRun decodes the next len(out) varints of col starting at
-// byte cursor ci with delta accumulator acc, returning the advanced cursor
-// and accumulator so a streaming caller can continue where it left off.
-// While at least ten bytes remain (the longest possible varint) it decodes
+// two bytes per delta with occasional exceptions). While at least ten bytes
+// remain (the longest possible varint) it decodes
 // from a reslice whose first four indices are provably in bounds, so
 // one-to-four-byte widths run without bounds checks or calls into
 // binary.Uvarint; the bounds-checked tail loop handles the last few bytes
 // of the column.
-func decodeGenericRun(col []byte, ci int, acc int64, out []int64, delta bool) (int, int64, error) {
+func decodeColGeneric(col []byte, out []int64, delta bool) error {
+	var ci int
+	var acc int64
 	for i := range out {
 		var u uint64
 		if rest := col[ci:]; len(rest) >= 10 {
@@ -598,7 +379,7 @@ func decodeGenericRun(col []byte, ci int, acc int64, out []int64, delta bool) (i
 					}
 					shift += 7
 					if shift >= 70 {
-						return ci, acc, fmt.Errorf("trace: chunk varint column overflow at byte %d", ci+k)
+						return fmt.Errorf("trace: chunk varint column overflow at byte %d", ci+k)
 					}
 				}
 				ci += k
@@ -608,7 +389,7 @@ func decodeGenericRun(col []byte, ci int, acc int64, out []int64, delta bool) (i
 			shift := 0
 			for {
 				if ci >= len(col) {
-					return ci, acc, fmt.Errorf("trace: chunk varint column truncated at byte %d", ci)
+					return fmt.Errorf("trace: chunk varint column truncated at byte %d", ci)
 				}
 				c := col[ci]
 				ci++
@@ -618,7 +399,7 @@ func decodeGenericRun(col []byte, ci int, acc int64, out []int64, delta bool) (i
 				}
 				shift += 7
 				if shift >= 70 {
-					return ci, acc, fmt.Errorf("trace: chunk varint column overflow at byte %d", ci)
+					return fmt.Errorf("trace: chunk varint column overflow at byte %d", ci)
 				}
 			}
 		}
@@ -629,7 +410,7 @@ func decodeGenericRun(col []byte, ci int, acc int64, out []int64, delta bool) (i
 		}
 		out[i] = v
 	}
-	return ci, acc, nil
+	return nil
 }
 
 // decodeBatch decodes the initialized chunk into b as columns rather than
@@ -699,7 +480,7 @@ func (d *chunkDecoder) decodeSeqSlow(seq []int64) error {
 // failure would mean memory or spill-file corruption.
 func mustDecodeBatch(b *Batch, data []byte, firstSeq int64) {
 	var d chunkDecoder
-	err := d.init(data, firstSeq, true, false)
+	err := d.init(data, firstSeq, true)
 	if err == nil {
 		err = d.decodeBatch(b)
 	}
@@ -708,215 +489,17 @@ func mustDecodeBatch(b *Batch, data []byte, firstSeq int64) {
 	}
 }
 
-// decodeChunk decodes an entire encoded chunk into out, returning the record
-// count. out must have room for the chunk's records.
-func decodeChunk(out []Record, data []byte, firstSeq int64, withSeq, strict bool) (int, error) {
-	var d chunkDecoder
-	if err := d.init(data, firstSeq, withSeq, strict); err != nil {
-		return 0, err
-	}
-	if d.n > len(out) {
-		return 0, fmt.Errorf("trace: chunk holds %d records, buffer %d", d.n, len(out))
-	}
-	if err := d.decodeAll(out[:d.n]); err != nil {
-		return 0, err
-	}
-	return d.n, nil
-}
-
-// The streaming batch decoder. A full 16K-record chunk decodes into
-// ~640 KiB of int64 columns — far past L1/L2 — so when decode and consume
-// share one core (the inline walk path), full-chunk decode streams every
-// column through outer cache twice: once written by the decoder, once read
-// back cold by the consumer. streamBatch instead decodes and delivers the
-// chunk in batchBlock-record sub-batches whose columns stay cache-resident
-// between the decode loop and the consumer's kernel. The multi-core lane
-// walk keeps whole-chunk batches: there the decode runs on other cores and
-// pipelining already hides it.
-const batchBlock = 2048
-
-// Column layout kinds for the streaming decoder, established by one cheap
-// prescan per column (unlike the full-column decoders, which speculate and
-// redo on a miss — impossible mid-stream, since earlier sub-batches have
-// already been delivered).
-const (
-	colGen uint8 = iota // irregular widths: serial cursor decode
-	colU1               // every varint one byte: element i at col[i]
-	colU2               // every varint two bytes: element i at col[2i]
-)
-
-func classifyCol(col []byte, n int) uint8 {
-	switch {
-	case len(col) == n && colAll1(col):
-		return colU1
-	case len(col) == 2*n && colAll2(col):
-		return colU2
-	}
-	return colGen
-}
-
-// colAll1 reports whether no byte of col has its continuation bit set,
-// eight bytes per test.
-func colAll1(col []byte) bool {
-	i := 0
-	for ; i+8 <= len(col); i += 8 {
-		if binary.LittleEndian.Uint64(col[i:])&0x8080808080808080 != 0 {
-			return false
+// checkOpDir rejects opcodes and directives outside the ISA: the strict
+// validation applied to untrusted file frames (in-memory chunks were
+// encoded from VM output and skip it).
+func (b *Batch) checkOpDir() error {
+	for i := 0; i < b.N; i++ {
+		if !isa.Opcode(b.Op[i]).Valid() {
+			return fmt.Errorf("trace: invalid opcode %d in record %d", b.Op[i], b.Seq[i])
 		}
-	}
-	var bad byte
-	for ; i < len(col); i++ {
-		bad |= col[i]
-	}
-	return bad < 0x80
-}
-
-// colAll2 reports whether col (of even length) is strictly alternating
-// continuation/terminal bytes — uniform two-byte varints.
-func colAll2(col []byte) bool {
-	i := 0
-	for ; i+8 <= len(col); i += 8 {
-		if binary.LittleEndian.Uint64(col[i:])&0x8080808080808080 != 0x0080008000800080 {
-			return false
+		if !b.Dir[i].Valid() {
+			return fmt.Errorf("trace: invalid directive %d in record %d", b.Dir[i], b.Seq[i])
 		}
-	}
-	for ; i+1 < len(col); i += 2 {
-		if col[i] < 0x80 || col[i+1] >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// colCursor decodes one varint column incrementally, sub-batch by
-// sub-batch. Uniform columns index directly off the element number; the
-// generic kind continues a serial decode from the saved byte cursor.
-type colCursor struct {
-	col   []byte
-	kind  uint8
-	delta bool
-	pos   int   // byte cursor (colGen)
-	acc   int64 // delta accumulator
-}
-
-// decode fills out with the elements [start, start+len(out)) of the column.
-func (c *colCursor) decode(out []int64, start int) error {
-	switch c.kind {
-	case colU1:
-		seg := c.col[start : start+len(out)]
-		if c.delta {
-			acc := c.acc
-			for i, cb := range seg {
-				acc += int64(cb>>1) ^ -int64(cb&1)
-				out[i] = acc
-			}
-			c.acc = acc
-		} else {
-			for i, cb := range seg {
-				out[i] = int64(cb>>1) ^ -int64(cb&1)
-			}
-		}
-	case colU2:
-		seg := c.col[2*start : 2*(start+len(out))]
-		if c.delta {
-			acc := c.acc
-			for i := range out {
-				u := uint64(seg[2*i]&0x7f) | uint64(seg[2*i+1])<<7
-				acc += int64(u>>1) ^ -int64(u&1)
-				out[i] = acc
-			}
-			c.acc = acc
-		} else {
-			for i := range out {
-				u := uint64(seg[2*i]&0x7f) | uint64(seg[2*i+1])<<7
-				out[i] = int64(u>>1) ^ -int64(u&1)
-			}
-		}
-	default:
-		var err error
-		c.pos, c.acc, err = decodeGenericRun(c.col, c.pos, c.acc, out, c.delta)
-		return err
 	}
 	return nil
-}
-
-// streamBatch decodes the initialized chunk into b one batchBlock-record
-// sub-batch at a time, invoking fn for each. The sub-batches reuse b's
-// columns, so each is valid only until fn returns — the same contract as a
-// full-chunk batch.
-func (d *chunkDecoder) streamBatch(b *Batch, fn func(*Batch)) error {
-	n := d.n
-	addr := colCursor{col: d.addr, kind: classifyCol(d.addr, n), delta: true}
-	value := colCursor{col: d.value, kind: classifyCol(d.value, n)}
-	mem := colCursor{col: d.mem, kind: classifyCol(d.mem, n), delta: true}
-	phase := colCursor{col: d.phase, kind: classifyCol(d.phase, n), delta: true}
-	var seqCur colCursor
-	if d.withSeq {
-		seqCur = colCursor{col: d.seq, kind: classifyCol(d.seq, n)}
-	}
-	for start := 0; start < n; start += batchBlock {
-		k := n - start
-		if k > batchBlock {
-			k = batchBlock
-		}
-		b.grow(k)
-		b.N = k
-		b.FirstSeq = d.firstSeq + int64(start)
-		b.Op = d.ops[start : start+k]
-		b.Flags = d.flags[start : start+k]
-		b.Dest = d.dest[start : start+k]
-		b.Reads = d.reads[2*start : 2*(start+k)]
-		dir := b.Dir
-		for i, f := range b.Flags {
-			dir[i] = isa.Directive(f >> 4)
-		}
-		if err := addr.decode(b.Addr, start); err != nil {
-			return err
-		}
-		if err := value.decode(b.Value, start); err != nil {
-			return err
-		}
-		if err := mem.decode(b.MemAddr, start); err != nil {
-			return err
-		}
-		if err := phase.decode(b.Phase, start); err != nil {
-			return err
-		}
-		seq := b.Seq
-		base := b.FirstSeq
-		switch {
-		case !d.withSeq:
-			for i := range seq {
-				seq[i] = base + int64(i)
-			}
-		case seqCur.kind == colU1:
-			// One-byte seq deltas decode fused with the positional add.
-			seg := d.seq[start : start+k]
-			for i, c := range seg {
-				seq[i] = (int64(c>>1) ^ -int64(c&1)) + base + int64(i)
-			}
-		default:
-			if err := seqCur.decode(seq, start); err != nil {
-				return err
-			}
-			for i := range seq {
-				seq[i] += base + int64(i)
-			}
-		}
-		fn(b)
-	}
-	return nil
-}
-
-// mustStreamBatch stream-decodes a chunk the Recorder encoded itself;
-// failure would mean memory or spill-file corruption.
-func mustStreamBatch(b *Batch, data []byte, firstSeq int64, fn func(*Batch)) {
-	var d chunkDecoder
-	err := d.init(data, firstSeq, true, false)
-	if err == nil {
-		err = d.streamBatch(b, fn)
-	}
-	if err != nil {
-		panic("trace: corrupt recorded chunk: " + err.Error())
-	}
 }

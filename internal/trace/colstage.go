@@ -6,17 +6,13 @@ import (
 	"repro/internal/isa"
 )
 
-// This file defines the fused-recording staging surface: the write-side twin
-// of batch.go. On the scalar path every retired instruction costs a Record
-// materialization, an interface dispatch into Consume, and a 56-byte struct
-// copy into the staging buffer — then flushStaged re-reads the structs and
-// varint-encodes them one record at a time. RecordColumns removes all three:
-// the VM dispatch loop writes the destructured record fields straight into
-// per-chunk SoA columns (plain byte/int64 stores, no Record, no interface
-// call), and the zigzag-delta/varint compression runs once per chunk at seal
-// time through the speculative uniform-width encoders of codec.go. The
-// scalar Consume path remains the bit-identical reference (SetScalarRecord /
-// -scalar-record); the differential tests byte-diff the two end to end.
+// This file defines the record-side staging surface: the write-side twin of
+// batch.go. The VM dispatch loop writes the destructured record fields
+// straight into per-chunk SoA columns (plain byte/int64 stores, no Record,
+// no interface call), and the zigzag-delta/varint compression runs once per
+// chunk at flush time through the speculative uniform-width encoders of
+// codec.go. Producers that emit whole Records (Consume) destructure them
+// into the same columns, so every path reaches one encoder.
 
 // RecordColumns is one chunk of staged records as parallel columns: element
 // i of every column carries the field Record i would. The byte columns use
@@ -66,8 +62,8 @@ func packRead(rd RegRead) byte {
 	return b
 }
 
-// appendRecord destructures r into the columns — the scalar producer's entry
-// into column staging, packing exactly what chunkEncoder.encode would.
+// appendRecord destructures r into the columns — the per-record producer's
+// entry into column staging.
 func (st *RecordColumns) appendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
@@ -96,28 +92,28 @@ func (st *RecordColumns) appendRecord(r *Record) {
 	st.N = i + 1
 }
 
-// materialize reconstructs the staged records into out (which must hold N
-// records) — how the unsealed staging tail is replayed, bit-identical to the
-// records a scalar staging buffer would hold.
-func (st *RecordColumns) materialize(out []Record) {
-	for i := range out[:st.N] {
-		r := &out[i]
-		f := st.Flags[i]
-		r.Addr = st.Addr[i]
-		r.Op = isa.Opcode(st.Op[i])
-		r.Dir = isa.Directive(f >> 4)
-		r.HasDest = f&1 != 0
-		r.DestFP = f&2 != 0
-		r.Dest = isa.Reg(st.Dest[i])
-		r.Value = st.Value[i]
-		r.Phase = int(st.Phase[i])
-		r.Seq = st.Seq[i]
-		b0, b1 := st.Reads[2*i], st.Reads[2*i+1]
-		r.Reads[0] = RegRead{Valid: b0&0x80 != 0, FP: b0&0x40 != 0, Reg: isa.Reg(b0 & 0x3f)}
-		r.Reads[1] = RegRead{Valid: b1&0x80 != 0, FP: b1&0x40 != 0, Reg: isa.Reg(b1 & 0x3f)}
-		r.Taken = f&4 != 0
-		r.HasMem = f&8 != 0
-		r.MemAddr = st.Mem[i]
+// batch exposes the staged records as a Batch aliasing the stage columns,
+// with the directive column unpacked into dir (len ≥ N) — how a ColumnSink
+// delivers a stage and how a replay hands out an unsealed Recorder's tail.
+func (st *RecordColumns) batch(b *Batch, dir []isa.Directive) {
+	n := st.N
+	dir = dir[:n]
+	for i, f := range st.Flags[:n] {
+		dir[i] = isa.Directive(f >> 4)
+	}
+	*b = Batch{
+		N:        n,
+		FirstSeq: st.FirstSeq,
+		Op:       st.Op[:n],
+		Flags:    st.Flags[:n],
+		Dest:     st.Dest[:n],
+		Reads:    st.Reads[:2*n],
+		Dir:      dir,
+		Addr:     st.Addr[:n],
+		Value:    st.Value[:n],
+		MemAddr:  st.Mem[:n],
+		Phase:    st.Phase[:n],
+		Seq:      st.Seq[:n],
 	}
 }
 
@@ -136,8 +132,8 @@ func newRecordColumns(n int) *RecordColumns {
 	}
 }
 
-// colsPool recycles chunk-sized stages across Recorders and ColumnSinks,
-// the record-side twin of slabPool (~0.6 MiB each).
+// colsPool recycles chunk-sized stages across Recorders and ColumnSinks
+// (~0.6 MiB each).
 var colsPool = sync.Pool{New: func() any { return newRecordColumns(recorderChunkSize) }}
 
 func getCols() *RecordColumns {
@@ -154,10 +150,9 @@ func putCols(st *RecordColumns) { colsPool.Put(st) }
 // ColumnStage returns a non-nil stage the VM bypasses Consume entirely and
 // writes destructured record fields straight into the stage's columns,
 // calling FlushColumns each time the stage fills and FlushTail once when the
-// run ends (halt or error). A nil ColumnStage (scalar-record mode, or a
-// sealed recorder) keeps the run on the per-record Consume reference path.
-// Both paths must be observably identical — the differential suites enforce
-// it byte for byte.
+// run ends (halt or error). A nil ColumnStage (a sealed recorder) keeps the
+// run on the per-record Consume loop. Both paths must be observably
+// identical — the differential suites enforce it byte for byte.
 type ColumnAppender interface {
 	Consumer
 	// ColumnStage returns the live staging columns, or nil when fused
@@ -193,9 +188,9 @@ func NewColumnSink(c BatchConsumer) *ColumnSink {
 	return &ColumnSink{c: c, st: getCols(), dir: make([]isa.Directive, recorderChunkSize)}
 }
 
-// Consume implements the scalar reference path: records delivered one at a
-// time still flow through the same staging columns, so scalar and fused
-// producers feed the consumer identical batches.
+// Consume stages one record: records delivered one at a time flow through
+// the same staging columns, so per-record and fused producers feed the
+// consumer identical batches.
 func (s *ColumnSink) Consume(r *Record) {
 	s.st.appendRecord(r)
 	if s.st.N == s.st.Cap() {
@@ -212,27 +207,9 @@ func (s *ColumnSink) FlushColumns() *RecordColumns {
 	if st.N == 0 {
 		return st
 	}
-	n := st.N
-	dir := s.dir[:n]
-	for i, f := range st.Flags[:n] {
-		dir[i] = isa.Directive(f >> 4)
-	}
-	s.batch = Batch{
-		N:        n,
-		FirstSeq: st.FirstSeq,
-		Op:       st.Op[:n],
-		Flags:    st.Flags[:n],
-		Dest:     st.Dest[:n],
-		Reads:    st.Reads[:2*n],
-		Dir:      dir,
-		Addr:     st.Addr[:n],
-		Value:    st.Value[:n],
-		MemAddr:  st.Mem[:n],
-		Phase:    st.Phase[:n],
-		Seq:      st.Seq[:n],
-	}
+	st.batch(&s.batch, s.dir)
 	s.c.ConsumeBatch(&s.batch)
-	s.n += int64(n)
+	s.n += int64(st.N)
 	st.N = 0
 	st.FirstSeq = s.n
 	return st
@@ -250,15 +227,3 @@ func (s *ColumnSink) Close() {
 		s.st = nil
 	}
 }
-
-// scalarOnly hides a consumer's column/batch fast-path interfaces so the VM
-// keeps the per-record reference loop.
-type scalarOnly struct{ c Consumer }
-
-func (s scalarOnly) Consume(r *Record) { s.c.Consume(r) }
-
-// ScalarOnly wraps c so producers see only the plain Consumer interface —
-// the -scalar-record escape hatch for consumers (trace file writers, batch
-// kernels) that would otherwise be driven through the fused column path. The
-// record stream is identical; only the delivery mechanism changes.
-func ScalarOnly(c Consumer) Consumer { return scalarOnly{c} }

@@ -36,15 +36,6 @@ func randomRecord(rng *rand.Rand, seq int64) Record {
 	return r
 }
 
-// fillBoth feeds one random stream to both recorders.
-func fillBoth(rng *rand.Rand, n int64, a *AoSRecorder, b *Recorder) {
-	for i := int64(0); i < n; i++ {
-		r := randomRecord(rng, i)
-		a.Consume(&r)
-		b.Consume(&r)
-	}
-}
-
 // testDirs builds a directive table covering part of the address range, so
 // ReplayDirs exercises both the in-table and out-of-table patch paths.
 func testDirs(rng *rand.Rand) []isa.Directive {
@@ -56,51 +47,46 @@ func testDirs(rng *rand.Rand) []isa.Directive {
 }
 
 // TestColumnarMatchesAoSReplay is the core differential test: the columnar
-// Recorder must replay bit-identically to the array-of-structs baseline,
-// across chunk boundaries and with a partial staged tail.
+// Recorder must replay bit-identically to the plain []Record oracle, across
+// chunk boundaries and with a partial staged tail.
 func TestColumnarMatchesAoSReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	aos, col := NewAoSRecorder(), NewRecorder()
-	fillBoth(rng, recorderChunkSize+recorderChunkSize/2, aos, col)
+	col := NewRecorder()
+	recs := fillRandom(rng, recorderChunkSize+recorderChunkSize/2, col)
 
-	var wantR, gotR capture
-	aos.Replay(&wantR)
+	var gotR capture
 	col.Replay(&gotR)
-	if !reflect.DeepEqual(wantR.recs, gotR.recs) {
-		t.Fatal("Replay differs from the AoS baseline")
+	if !reflect.DeepEqual(recs, gotR.recs) {
+		t.Fatal("Replay differs from the oracle stream")
 	}
 
 	dirs := testDirs(rng)
-	var wantD, gotD capture
-	aos.ReplayDirs(dirs, &wantD)
+	var gotD capture
 	col.ReplayDirs(dirs, &gotD)
-	if !reflect.DeepEqual(wantD.recs, gotD.recs) {
-		t.Fatal("ReplayDirs differs from the AoS baseline")
+	if !reflect.DeepEqual(oracleDirs(recs, dirs), gotD.recs) {
+		t.Fatal("ReplayDirs differs from the oracle stream")
 	}
 }
 
 func TestColumnarMatchesAoSMultiEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	aos, col := NewAoSRecorder(), NewRecorder()
-	fillBoth(rng, recorderChunkSize+777, aos, col)
+	col := NewRecorder()
+	recs := fillRandom(rng, recorderChunkSize+777, col)
 	dirs := testDirs(rng)
 
-	run := func(rc interface{ MultiEval(...EvalConfig) int64 }) [3][]Record {
-		var a, b, c capture
-		saved := rc.MultiEval(
-			EvalConfig{Consumer: &a},
-			EvalConfig{Dirs: dirs, Consumer: &b},
-			EvalConfig{Dirs: dirs[:100], Consumer: &c},
-		)
-		if saved != 2 {
-			t.Fatalf("MultiEval saved = %d, want 2", saved)
-		}
-		return [3][]Record{a.recs, b.recs, c.recs}
+	var a, b, c capture
+	saved := col.MultiEval(
+		EvalConfig{Consumer: &a},
+		EvalConfig{Dirs: dirs, Consumer: &b},
+		EvalConfig{Dirs: dirs[:100], Consumer: &c},
+	)
+	if saved != 2 {
+		t.Fatalf("MultiEval saved = %d, want 2", saved)
 	}
-	want, got := run(aos), run(col)
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("MultiEval config %d differs from the AoS baseline", i)
+	want := [3][]Record{recs, oracleDirs(recs, dirs), oracleDirs(recs, dirs[:100])}
+	for i, got := range [3][]Record{a.recs, b.recs, c.recs} {
+		if !reflect.DeepEqual(want[i], got) {
+			t.Fatalf("MultiEval config %d differs from the oracle stream", i)
 		}
 	}
 }
@@ -132,10 +118,12 @@ func TestSpilledMatchesResident(t *testing.T) {
 	if resident.SpilledChunks() != 0 {
 		t.Fatalf("unbudgeted recorder spilled %d chunks", resident.SpilledChunks())
 	}
+	if !reflect.DeepEqual(recs, want.recs) {
+		t.Fatal("resident Replay differs from the oracle stream")
+	}
 
 	dirs := testDirs(rng)
-	var wantDirs capture
-	resident.ReplayDirs(dirs, &wantDirs)
+	wantDirs := capture{oracleDirs(recs, dirs)}
 
 	for _, budget := range []int64{1, 64 << 10, 1 << 20} {
 		rc := record(budget)
@@ -173,9 +161,9 @@ func TestSpilledMatchesResident(t *testing.T) {
 }
 
 // TestSpilledConcurrentReplays drives several goroutines through every
-// replay path of one spilled, sealed recorder; each pass owns its own
-// prefetcher, so concurrent passes must not interfere. Run under -race by
-// the CI spill job.
+// replay path of one spilled, sealed recorder; each pass owns its batches
+// and their spill read scratch, so concurrent passes must not interfere. Run
+// under -race by the CI trace-paths job.
 func TestSpilledConcurrentReplays(t *testing.T) {
 	const n = 3 * recorderChunkSize
 	rc := NewRecorder()

@@ -2,12 +2,47 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
 )
+
+// writeV1 builds a VPTRC01 file: the legacy fixed 40-byte layout, which
+// nothing writes any more but readers still accept as outside input.
+func writeV1(recs []Record) []byte {
+	out := append([]byte(nil), fileMagicV1[:]...)
+	for _, r := range recs {
+		var buf [v1RecordSize]byte
+		binary.LittleEndian.PutUint64(buf[0:], uint64(r.Addr))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(r.Seq))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(r.Value))
+		binary.LittleEndian.PutUint64(buf[24:], uint64(r.MemAddr))
+		buf[32] = uint8(r.Op)
+		buf[33] = uint8(r.Dir)
+		for bit, set := range []bool{r.HasDest, r.DestFP, r.Taken, r.HasMem} {
+			if set {
+				buf[34] |= 1 << bit
+			}
+		}
+		buf[35] = uint8(r.Dest)
+		binary.LittleEndian.PutUint16(buf[36:], uint16(r.Phase))
+		buf[38], buf[39] = packRead(r.Reads[0]), packRead(r.Reads[1])
+		out = append(out, buf[:]...)
+	}
+	return out
+}
+
+// writeFormat returns recs as a trace file in the given format.
+func writeFormat(t *testing.T, format Format, recs []Record) []byte {
+	t.Helper()
+	if format == FormatV1 {
+		return writeV1(recs)
+	}
+	return encodeV2(t, recs)
+}
 
 // encodeV2 writes recs through a v2 Writer and returns the file bytes.
 func encodeV2(t *testing.T, recs []Record) []byte {
@@ -158,95 +193,77 @@ func (fw *flakyWriter) Write(p []byte) (int, error) {
 // failing record index and byte offset, and count the records dropped after
 // the failure instead of losing them silently.
 func TestWriterSurfacesWriteError(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			fw := &flakyWriter{failAfter: 200}
-			w, err := NewWriterFormat(fw, format)
-			if err != nil {
-				t.Fatal(err)
+	t.Run(FormatV2.String(), func(t *testing.T) {
+		fw := &flakyWriter{failAfter: 200}
+		w, err := NewWriter(fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := synthStream(0, fileChunkSize+50)
+		for i := range recs {
+			w.Consume(&recs[i])
+			if i%64 == 0 {
+				w.Flush() // push frames at the failing writer mid-stream
 			}
-			recs := synthStream(0, fileChunkSize+50)
-			for i := range recs {
-				w.Consume(&recs[i])
-				if format == FormatV2 && i%64 == 0 {
-					w.Flush() // push frames at the failing writer mid-stream
-				}
-			}
-			err = w.Close()
-			if err == nil {
-				t.Fatal("Close returned nil after write failures")
-			}
-			if !errors.Is(err, errDiskFull) {
-				t.Fatalf("Close error %v does not wrap the writer's error", err)
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "record") || !strings.Contains(msg, "byte offset") {
-				t.Errorf("error lacks record/offset diagnostics: %v", err)
-			}
-			if w.Dropped() == 0 {
-				t.Error("Dropped = 0, want records counted after the first failure")
-			}
-			if !strings.Contains(msg, fmt.Sprintf("%d records dropped", w.Dropped())) {
-				t.Errorf("error does not report the dropped count: %v", err)
-			}
-			// The error is sticky: Flush keeps returning it.
-			if err2 := w.Flush(); err2 == nil || !errors.Is(err2, errDiskFull) {
-				t.Errorf("Flush after failure = %v, want the sticky error", err2)
-			}
-		})
-	}
+		}
+		err = w.Close()
+		if err == nil {
+			t.Fatal("Close returned nil after write failures")
+		}
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("Close error %v does not wrap the writer's error", err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "record") || !strings.Contains(msg, "byte offset") {
+			t.Errorf("error lacks record/offset diagnostics: %v", err)
+		}
+		if w.Dropped() == 0 {
+			t.Error("Dropped = 0, want records counted after the first failure")
+		}
+		if !strings.Contains(msg, fmt.Sprintf("%d records dropped", w.Dropped())) {
+			t.Errorf("error does not report the dropped count: %v", err)
+		}
+		// The error is sticky: Flush keeps returning it.
+		if err2 := w.Flush(); err2 == nil || !errors.Is(err2, errDiskFull) {
+			t.Errorf("Flush after failure = %v, want the sticky error", err2)
+		}
+	})
 }
 
-// TestWriterErrorOffsetPointsAtFailure pins the reported byte offset to the
-// writer's logical position when the failure struck.
+// TestWriterErrorOffsetPointsAtFailure pins the reported record index and
+// byte offset to the frame the failure struck: with one frame per record, a
+// writer that accepts the magic plus two frames fails at record 2, at the
+// offset where the third frame began.
 func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
-	// v1 writes are exactly v1RecordSize bytes after the 8-byte magic, so
-	// a writer that accepts the magic plus two records fails at record 2,
-	// offset 8 + 2*v1RecordSize.
-	fw := &flakyWriter{failAfter: 8 + 2*v1RecordSize}
-	w, err := NewWriterFormat(fw, FormatV1)
+	recs := synthStream(0, 5)
+	frames := 0
+	for i := range recs[:2] {
+		frames += len(encodeV2(t, recs[i:i+1])) - len(fileMagicV2)
+	}
+	fw := &flakyWriter{failAfter: len(fileMagicV2) + frames}
+	w, err := NewWriter(fw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := synthStream(0, 5)
 	for i := range recs {
 		w.Consume(&recs[i])
+		w.Flush()
 	}
 	err = w.Close()
 	if err == nil {
 		t.Fatal("Close returned nil")
 	}
-	want := fmt.Sprintf("record 2 (byte offset %d)", 8+2*v1RecordSize)
+	want := fmt.Sprintf("record 2 (byte offset %d)", len(fileMagicV2)+frames)
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not contain %q", err, want)
 	}
-	if w.Count() != 5 {
-		t.Errorf("Count = %d, want 5 accepted records", w.Count())
+	// Records 2..4 were never durable: record 2's frame failed, and the
+	// sticky error drops the rest as they arrive.
+	if w.Count() != 3 {
+		t.Errorf("Count = %d, want 3 records framed", w.Count())
 	}
-	// Records 2..4 were accepted but never became durable.
 	if w.Dropped() != 3 {
 		t.Errorf("Dropped = %d, want 3", w.Dropped())
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Format
-		err  bool
-	}{
-		{"v1", FormatV1, false},
-		{"V1", FormatV1, false},
-		{"VPTRC01", FormatV1, false},
-		{"v2", FormatV2, false},
-		{"", FormatV2, false},
-		{"v3", FormatV2, true},
-	}
-	for _, c := range cases {
-		got, err := ParseFormat(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
 	}
 }
 
@@ -255,25 +272,13 @@ func TestParseFormat(t *testing.T) {
 // synthetic stream uses anyway).
 func TestFileFormatsCarryIdenticalStreams(t *testing.T) {
 	recs := synthStream(0, 500)
-	var v1buf, v2buf bytes.Buffer
-	w1, _ := NewWriterFormat(&v1buf, FormatV1)
-	w2, _ := NewWriterFormat(&v2buf, FormatV2)
-	for i := range recs {
-		w1.Consume(&recs[i])
-		w2.Consume(&recs[i])
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v1Size, v2Size := v1buf.Len(), v2buf.Len()
-	r1, err := NewReader(&v1buf)
+	v1, v2 := writeV1(recs), encodeV2(t, recs)
+	v1Size, v2Size := len(v1), len(v2)
+	r1, err := NewReader(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewReader(&v2buf)
+	r2, err := NewReader(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,17 @@ package trace
 
 import "repro/internal/isa"
 
-// This file implements single-pass multi-configuration trace evaluation.
-// The Section 5 experiment drivers sweep one recorded trace across many
+// This file implements single-pass multi-configuration trace evaluation —
+// the one replay walk every Replay and ReplayDirs call goes through. The
+// Section 5 experiment drivers sweep one recorded trace across many
 // predictor/classifier configurations — the FSM baseline plus one
 // profile-annotated configuration per accuracy threshold. Replaying the
 // trace once per configuration re-reads the whole multi-megabyte buffer T
-// times; MultiEval walks the buffer exactly once and fans every record out
-// to all configurations, turning the sweep from O(configs × replay) into
+// times; MultiEval walks the buffer exactly once and fans every chunk out to
+// all configurations, turning the sweep from O(configs × replay) into
 // O(replay + configs × table-update). Each configuration still observes
 // exactly the record sequence its own ReplayDirs/Replay call would have
-// produced, so per-configuration results are bit-identical to separate
-// replays (the equivalence is asserted by TestMultiEvalMatchesSeparateReplays).
+// produced (the equivalence is asserted by TestMultiEvalMatchesSeparateReplays).
 
 // EvalConfig is one independent evaluation configuration of a MultiEval
 // pass: a consumer plus the per-address directive table to patch into each
@@ -26,118 +26,86 @@ type EvalConfig struct {
 	Consumer Consumer
 }
 
-// MultiEval replays the recorded stream once, feeding every record to each
+// MultiEval replays the recorded stream once, feeding every chunk to each
 // configuration. It returns the number of full replay passes saved versus
 // evaluating the configurations with one replay each (len(cfgs)-1, never
 // negative) — the quantity the vpserve trace_replay_passes_saved metric
 // accumulates.
 //
-// The walk is chunk-tiled: each columnar chunk is decoded ONCE into a
-// pass-local scratch slab (≈0.9 MiB of Records, comfortably cache-resident)
-// and then run through every configuration's tight per-consumer loop before
-// the walk advances, so the decode cost amortizes over all configurations
-// and configurations 2..N read the slab from cache instead of re-streaming
-// (or re-decoding) the multi-megabyte buffer. The hot loop stays identical
-// to Replay's (no per-record multi-config dispatch), and every consumer
-// still observes exactly the record sequence its own ReplayDirs/Replay call
-// would have produced — configurations share nothing, so the tiling
-// granularity is unobservable.
+// The walk is chunk-tiled: each chunk is loaded and decoded once into a
+// Batch and then run through every configuration before the walk advances,
+// so configurations 2..N read the decoded columns from cache. Batch
+// consumers get ConsumeBatch (with a patched Dir column for directive
+// configurations); scalar consumers (the ILP machine, critical-path
+// analysis, ConsumerFunc) get the records the walk materialized from the
+// batch, with the directive patched per record. The unsealed staging tail
+// of a Recorder still being recorded is delivered last, as a Batch over the
+// staging columns.
 //
-// Directive patching writes to a per-call scratch record, never to the
-// decoded slab, so concurrent MultiEval/Replay calls on one sealed Recorder
-// are safe. Consumers receive records under the standard read-only,
-// duration-of-the-call contract.
+// Directive patches write per-pass scratch, never the recorded chunks, so
+// concurrent MultiEval/Replay calls on one sealed Recorder are safe.
 func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	if len(cfgs) == 0 {
 		return 0
 	}
 	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	nbatch := 0
+	ev := evaluator{cfgs: cfgs}
 	for _, cfg := range cfgs {
-		if _, ok := cfg.Consumer.(BatchConsumer); ok {
-			nbatch++
+		if _, ok := cfg.Consumer.(BatchConsumer); !ok {
+			ev.records = true
 		}
 	}
-	if nbatch > 0 && !rc.scalarReplay {
-		rc.multiEvalBatch(cfgs, nbatch < len(cfgs))
-	} else {
-		var scratch Record
-		rc.walkSlabs(func(chunk []Record) { evalRecords(cfgs, chunk, &scratch) })
-	}
-	if len(staged) > 0 {
-		var scratch Record
-		evalRecords(cfgs, staged, &scratch)
+	rc.walkBatches(ev.records, ev.eval)
+	if st := rc.cols; st != nil && st.N > 0 {
+		var b Batch
+		st.batch(&b, make([]isa.Directive, st.N))
+		if ev.records {
+			b.recs = b.Records(make([]Record, b.N))
+		}
+		ev.eval(&b)
 	}
 	return int64(len(cfgs) - 1)
 }
 
-// evalRecords runs one decoded chunk through every configuration's scalar
-// per-consumer loop — the reference evaluation kernel, also used for the
-// staging tail of an unsealed Recorder on the batch path.
-func evalRecords(cfgs []EvalConfig, chunk []Record, scratch *Record) {
-	for _, cfg := range cfgs {
-		if cfg.Dirs == nil {
-			c := cfg.Consumer
-			for i := range chunk {
-				c.Consume(&chunk[i])
-			}
-			continue
-		}
-		dirs, c := cfg.Dirs, cfg.Consumer
-		for i := range chunk {
-			*scratch = chunk[i]
-			if a := scratch.Addr; a >= 0 && a < int64(len(dirs)) {
-				scratch.Dir = dirs[a]
-			} else {
-				scratch.Dir = isa.DirNone
-			}
-			c.Consume(scratch)
-		}
-	}
+// evaluator runs decoded batches through a pass's configurations.
+type evaluator struct {
+	cfgs    []EvalConfig
+	records bool            // some configuration is scalar: batches carry recs
+	dirs    []isa.Directive // patched directive scratch
 }
 
-// multiEvalBatch is the column-batch MultiEval walk: each chunk is decoded
-// once into a Batch, every batch-capable configuration runs its kernel over
-// the columns (directive-carrying configurations see a per-call patched Dir
-// column; the recorded Dir column is restored afterwards), and — only when
-// the configuration set is mixed — the batch is materialized once per chunk
-// into a pooled Record slab for the scalar consumers, which then run the
-// exact reference loop. Both consumer kinds still observe bit-identical
-// streams in a single pass over the encoded trace.
-func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig, mixed bool) {
-	var slab *recSlab
-	if mixed {
-		slab = getSlab()
-		defer putSlab(slab)
-	}
-	var dirScratch []isa.Directive
-	var scratch Record
-	rc.walkBatches(func(b *Batch) {
-		recorded := b.Dir
-		var recs []Record
-		if mixed {
-			recs = b.Records(slab.recs)
-		}
-		for j := range cfgs {
-			cfg := &cfgs[j]
-			if bc, ok := cfg.Consumer.(BatchConsumer); ok {
-				if cfg.Dirs == nil {
-					b.Dir = recorded
-				} else {
-					if cap(dirScratch) < b.N {
-						dirScratch = make([]isa.Directive, b.N)
-					}
-					dirScratch = dirScratch[:b.N]
-					patchDirs(dirScratch, b.Addr, cfg.Dirs)
-					b.Dir = dirScratch
-				}
-				bc.ConsumeBatch(b)
-				continue
+// eval feeds one batch to every configuration in order. b.recs (when
+// materialized) starts out carrying the recorded directives; a scalar
+// directive configuration rewrites their Dir fields, and the next scalar
+// configuration restores whatever it needs.
+func (e *evaluator) eval(b *Batch) {
+	recorded := b.Dir
+	patched := false // b.recs Dir fields hold a patch rather than the recording
+	for _, cfg := range e.cfgs {
+		dir := recorded
+		if cfg.Dirs != nil {
+			if cap(e.dirs) < b.N {
+				e.dirs = make([]isa.Directive, b.N)
 			}
-			evalRecords(cfgs[j:j+1], recs, &scratch)
+			dir = e.dirs[:b.N]
+			patchDirs(dir, b.Addr, cfg.Dirs)
 		}
-		b.Dir = recorded
-	})
+		if bc, ok := cfg.Consumer.(BatchConsumer); ok {
+			b.Dir = dir
+			bc.ConsumeBatch(b)
+			continue
+		}
+		recs := b.recs[:b.N]
+		if cfg.Dirs != nil || patched {
+			for i := range recs {
+				recs[i].Dir = dir[i]
+			}
+			patched = cfg.Dirs != nil
+		}
+		c := cfg.Consumer
+		for i := range recs {
+			c.Consume(&recs[i])
+		}
+	}
+	b.Dir = recorded
 }

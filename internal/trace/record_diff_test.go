@@ -4,25 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
-// This file is the record-side differential suite: the fused column recording
-// path (RecordColumns staging + chunkEncoder.encodeCols + the encode-ahead
-// pipeline) must be byte-identical to the scalar reference path
-// (Record staging + chunkEncoder.encode), end to end — same chunks in the
-// Recorder, same frames in the trace file.
-
-// colsOf stages recs into a fresh column stage, as a fused producer would.
-func colsOf(recs []Record, firstSeq int64) *RecordColumns {
-	st := newRecordColumns(len(recs))
-	st.FirstSeq = firstSeq
-	for i := range recs {
-		st.appendRecord(&recs[i])
-	}
-	return st
-}
+// This file is the record-side differential suite: the column recording
+// path (RecordColumns staging + chunkEncoder.encodeCols) must be
+// byte-identical to the per-record reference encoder (refEncode), end to
+// end — same chunks in the Recorder, same frames in the trace file.
 
 // widthStreams builds record streams engineered to drive each speculative
 // column-width path of appendCol: all-one-byte varints, exact two-byte
@@ -74,10 +62,10 @@ func widthStreams() map[string][]Record {
 	}
 }
 
-// TestEncodeColsMatchesEncode pins the codec twin-path contract: encoding a
-// staged column chunk must produce byte-for-byte the same output as encoding
-// the equivalent Record slice, for every column-width speculation path and
-// for random streams.
+// TestEncodeColsMatchesEncode pins the chunk byte format: encoding a staged
+// column chunk must produce byte-for-byte the same output as the per-record
+// reference encoder, for every column-width speculation path and for random
+// streams.
 func TestEncodeColsMatchesEncode(t *testing.T) {
 	streams := widthStreams()
 	rng := rand.New(rand.NewSource(11))
@@ -93,8 +81,8 @@ func TestEncodeColsMatchesEncode(t *testing.T) {
 	}
 	for name, recs := range streams {
 		for _, withSeq := range []bool{true, false} {
-			var scalarEnc, colEnc chunkEncoder
-			want := scalarEnc.encode(nil, recs, 0, withSeq)
+			var colEnc chunkEncoder
+			want := refEncode(recs, 0, withSeq)
 			got := colEnc.encodeCols(nil, colsOf(recs, 0), withSeq)
 			if !bytes.Equal(want, got) {
 				t.Errorf("%s withSeq=%v: encodeCols differs from encode (%d vs %d bytes)",
@@ -104,21 +92,10 @@ func TestEncodeColsMatchesEncode(t *testing.T) {
 	}
 }
 
-// chunkBytes seals rc and collects every encoded chunk (copied, since walk
-// buffers are recycled).
-func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
-	t.Helper()
-	rc.Seal()
-	var chunks [][]byte
-	rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-		chunks = append(chunks, append([]byte(nil), data...))
-	})
-	return chunks
-}
-
-// TestFusedRecorderMatchesScalarRecord records one stream through the default
-// column path and the scalar-record reference path and requires the encoded
-// chunks to be byte-identical, resident and fully spilled.
+// TestFusedRecorderMatchesScalarRecord records one stream through the
+// Recorder and requires every encoded chunk to be byte-identical to the
+// per-record reference encoding of the same records, and the replay (before
+// and after Seal) to equal the oracle stream — resident and fully spilled.
 func TestFusedRecorderMatchesScalarRecord(t *testing.T) {
 	const n = 2*recorderChunkSize + 345
 	rng := rand.New(rand.NewSource(21))
@@ -126,39 +103,35 @@ func TestFusedRecorderMatchesScalarRecord(t *testing.T) {
 	for i := range recs {
 		recs[i] = randomRecord(rng, int64(i))
 	}
-	record := func(scalar bool, budget int64) *Recorder {
+	for _, budget := range []int64{0, 1} {
 		rc := NewRecorder()
-		rc.SetScalarRecord(scalar)
 		rc.SetMemBudget(budget)
 		for i := range recs {
 			rc.Consume(&recs[i])
 		}
-		t.Cleanup(func() { rc.Close() })
-		return rc
-	}
-	for _, budget := range []int64{0, 1} {
-		fused, scalar := record(false, budget), record(true, budget)
-		var fusedR capture
-		fused.Replay(&fusedR) // pre-seal replay: tail materialization path
-		if len(fusedR.recs) != n {
-			t.Fatalf("budget %d: pre-seal fused replay returned %d records, want %d", budget, len(fusedR.recs), n)
+		defer rc.Close()
+		var unsealed capture
+		rc.Replay(&unsealed) // pre-seal replay: staging tail as a batch
+		if !reflect.DeepEqual(recs, unsealed.recs) {
+			t.Fatalf("budget %d: pre-seal replay differs from the oracle stream", budget)
 		}
-		got, want := chunkBytes(t, fused), chunkBytes(t, scalar)
-		if len(got) != len(want) {
-			t.Fatalf("budget %d: fused wrote %d chunks, scalar %d", budget, len(got), len(want))
+		got := chunkBytes(t, rc)
+		if len(got) != 3 {
+			t.Fatalf("budget %d: recorder wrote %d chunks, want 3", budget, len(got))
 		}
 		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("budget %d: chunk %d differs between fused and scalar-record", budget, i)
+			lo, hi := i*recorderChunkSize, min((i+1)*recorderChunkSize, n)
+			if !bytes.Equal(got[i], refEncode(recs[lo:hi], int64(lo), true)) {
+				t.Fatalf("budget %d: chunk %d differs from the reference encoding", budget, i)
 			}
 		}
-		if budget > 0 && fused.SpilledChunks() == 0 {
+		if budget > 0 && rc.SpilledChunks() == 0 {
 			t.Fatalf("budget %d: nothing spilled (spill path not exercised)", budget)
 		}
-		var scalarR capture
-		scalar.Replay(&scalarR)
-		if !reflect.DeepEqual(fusedR.recs, scalarR.recs) {
-			t.Fatalf("budget %d: fused replay differs from scalar-record replay", budget)
+		var sealed capture
+		rc.Replay(&sealed)
+		if !reflect.DeepEqual(recs, sealed.recs) {
+			t.Fatalf("budget %d: sealed replay differs from the oracle stream", budget)
 		}
 	}
 }
@@ -184,58 +157,11 @@ func TestColumnSinkMatchesScalarDelivery(t *testing.T) {
 	}
 }
 
-// TestEncodeAheadPipelineMatchesSequential forces the encode-ahead pipeline on
-// (GOMAXPROCS > 1) and requires its chunks to be byte-identical to the
-// sequential inline encoder's, in order, with the observability counters
-// consistent.
-func TestEncodeAheadPipelineMatchesSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const n = 5*recorderChunkSize + 77
-	rng := rand.New(rand.NewSource(31))
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = randomRecord(rng, int64(i))
-	}
-	piped := NewRecorder()
-	for i := range recs {
-		piped.Consume(&recs[i])
-	}
-	if piped.ahead == nil {
-		t.Fatal("encode-ahead pipeline did not start at GOMAXPROCS=4")
-	}
-	// Pre-seal accessors must observe drained, ordered state.
-	piped.drainEncode()
-	if got := piped.ChunksEncoded(); got != 5 {
-		t.Fatalf("ChunksEncoded after drain = %d, want 5", got)
-	}
-	if piped.EncodeTime() <= 0 {
-		t.Error("EncodeTime = 0 after five encoded chunks")
-	}
-	if piped.EncodeStalls() < 0 {
-		t.Error("negative stall count")
-	}
-
-	seq := NewRecorder()
-	seq.aheadOff = true // sequential fallback, same machine
-	for i := range recs {
-		seq.Consume(&recs[i])
-	}
-	got, want := chunkBytes(t, piped), chunkBytes(t, seq)
-	if len(got) != len(want) {
-		t.Fatalf("pipelined wrote %d chunks, sequential %d", len(got), len(want))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("chunk %d differs between pipelined and sequential encode", i)
-		}
-	}
-}
-
-// writeFile writes recs through w-building fn and returns the file bytes.
-func writeFile(t *testing.T, format Format, fill func(tw *Writer)) []byte {
+// writeFile fills a Writer through fill and returns the file bytes.
+func writeFile(t *testing.T, fill func(tw *Writer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := NewWriterFormat(&buf, format)
+	tw, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +173,13 @@ func writeFile(t *testing.T, format Format, fill func(tw *Writer)) []byte {
 }
 
 // TestWriterProducerPathsMatch drives the trace-file Writer through its three
-// producer paths — scalar Consume, batch ConsumeBatch (replay), and fused
-// column staging (live VM) — and requires byte-identical files.
+// producer paths — per-record Consume, batch ConsumeBatch (replay), and
+// fused column staging (live VM) — and requires byte-identical files.
 func TestWriterProducerPathsMatch(t *testing.T) {
 	const n = 2*fileChunkSize + 333
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = synthRecord(int64(i))
-		recs[i].Phase = int(uint16(recs[i].Phase)) // v1-representable
 	}
 	rc := NewRecorder()
 	for i := range recs {
@@ -263,48 +188,28 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 	rc.Seal()
 	defer rc.Close()
 
-	for _, format := range []Format{FormatV1, FormatV2} {
-		scalar := writeFile(t, format, func(tw *Writer) {
-			for i := range recs {
-				tw.Consume(&recs[i])
-			}
-		})
-		batch := writeFile(t, format, func(tw *Writer) { rc.Replay(tw) })
-		if !bytes.Equal(scalar, batch) {
-			t.Errorf("%v: batch-replay file differs from scalar-consume file", format)
+	scalar := writeFile(t, func(tw *Writer) {
+		for i := range recs {
+			tw.Consume(&recs[i])
 		}
-		if format != FormatV2 {
-			continue
-		}
-		fused := writeFile(t, format, func(tw *Writer) {
-			st := tw.ColumnStage()
-			if st == nil {
-				t.Fatal("v2 writer returned nil ColumnStage")
+	})
+	batch := writeFile(t, func(tw *Writer) { rc.Replay(tw) })
+	if !bytes.Equal(scalar, batch) {
+		t.Error("batch-replay file differs from per-record Consume file")
+	}
+	fused := writeFile(t, func(tw *Writer) {
+		st := tw.ColumnStage()
+		for i := range recs {
+			if st.N == st.Cap() {
+				st = tw.FlushColumns()
 			}
-			for i := range recs {
-				if st.N == st.Cap() {
-					st = tw.FlushColumns()
-				}
-				st.appendRecord(&recs[i])
-			}
-			tw.FlushTail()
-		})
-		if !bytes.Equal(scalar, fused) {
-			t.Error("v2: fused column-staged file differs from scalar-consume file")
+			st.appendRecord(&recs[i])
 		}
+		tw.FlushTail()
+	})
+	if !bytes.Equal(scalar, fused) {
+		t.Error("fused column-staged file differs from per-record Consume file")
 	}
-
-	// v1 writers must refuse the column fast path (records go through the
-	// scalar reference loop).
-	var buf bytes.Buffer
-	tw, err := NewWriterFormat(&buf, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tw.ColumnStage() != nil {
-		t.Error("v1 writer offered a column stage")
-	}
-	tw.Close()
 }
 
 // FuzzColumnEncodeRoundTrip drives arbitrary integer columns through the

@@ -18,19 +18,20 @@ import (
 // it to run the evaluation input once per benchmark and replay the recorded
 // stream for every threshold and prediction-engine configuration.
 //
-// Storage is structure-of-arrays: records are staged in a plain buffer one
-// chunk at a time and transposed into the packed columnar encoding of
-// codec.go when the chunk fills (~10 bytes/record against the 56-byte
-// Record struct). Replay runs a decode-into-scratch hot loop that
-// materializes one Record per iteration, so consumers observe exactly the
-// live-run contract and never touch the encoded form. When a resident-bytes
-// budget is set, encoded chunks past the budget spill to an anonymous temp
-// file and stream back in sequential order during replay through a
-// double-buffered prefetcher (spill.go), so traces larger than RAM replay
-// at near-resident speed.
+// There is one record path and one replay walk. Records are staged as
+// RecordColumns (written directly by the VM's fused loop, or destructured
+// from Consume) and each full stage is encoded inline into the packed
+// columnar form of codec.go (~10 bytes/record against the 56-byte Record
+// struct). Every replay — Replay, ReplayDirs and MultiEval alike — walks the
+// chunks once, decoding each into a column Batch (inline, or ahead of the
+// consumer on decode lanes when spare CPUs exist); batch consumers get the
+// columns, scalar consumers get records materialized from them. When a
+// resident-bytes budget is set, encoded chunks past the budget spill to an
+// anonymous temp file (spill.go) and are read back with one positional read
+// per chunk into batch-owned scratch.
 
 // recorderChunkSize is the number of records per storage chunk: 16384
-// records stage into ~0.9 MiB of Record structs and encode into roughly
+// records stage into ~0.6 MiB of columns and encode into roughly
 // 100–300 KiB, a comfortable unit for both cache-resident decoding and
 // sequential spill I/O.
 const recorderChunkSize = 1 << 14
@@ -42,10 +43,11 @@ const recordMemBytes = int64(unsafe.Sizeof(Record{}))
 // rchunk is one encoded chunk: resident (data set) or spilled (data nil,
 // off/size locating the encoding in the spill file).
 type rchunk struct {
-	data []byte
-	off  int64
-	size int32
-	n    int32
+	data     []byte
+	off      int64
+	size     int32
+	n        int32
+	firstSeq int64 // stream position of the chunk's first record
 }
 
 // Recorder is a Consumer that captures the stream for later replay.
@@ -55,42 +57,26 @@ type rchunk struct {
 // experiments context, the vpserve trace cache) must Seal it first: sealing
 // marks recording complete, turns any further Consume into a panic, and
 // documents the immutability the concurrent replays rely on. Replay hands
-// records out by pointer under a strict read-only, duration-of-the-call
+// records and batches out under a strict read-only, duration-of-the-call
 // contract (the same contract as a live run); the -race stress tests in
 // internal/experiments drive every replay path from many goroutines to
 // catch any consumer that violates it.
 type Recorder struct {
-	cols       *RecordColumns // column staging (default fused recording mode)
-	tailSlab   *recSlab       // scratch for materializing the column tail in replays
-	staged     []Record       // scalar-record staging (bit-identical reference mode)
-	stagedSlab *recSlab       // pooled backing storage of staged; returned at Seal
-	enc        *chunkEncoder
-	chunks     []rchunk
-	nFlushed   int64 // records in flushed (encoded or encode-queued) chunks
+	cols     *RecordColumns // the chunk being filled; nil until the first record and after Seal
+	enc      *chunkEncoder
+	chunks   []rchunk
+	nFlushed int64 // records in encoded chunks
 
 	memBudget     int64 // resident encoded-bytes budget; <=0 = fully resident
 	residentBytes int64 // encoded bytes currently held in memory
 	encodedBytes  int64 // encoded bytes total (resident + spilled)
 	maxChunkBytes int64 // largest encoded chunk, the unit of spill readback
 	spilledChunks int64
-	chunksEncoded int64
 	spill         *spillFile
+	encodeTime    time.Duration // cumulative chunk-encode wall time
 
-	// mu guards the encoded-chunk state above (chunks through spill) while
-	// the encode-ahead pipeline is live: appendEncoded runs on the encoder
-	// goroutine, the accessors on the recording thread. Once sealed (or on
-	// the sequential path) everything is synchronous and immutable.
-	mu sync.Mutex
-
-	ahead       *encodeAhead // background chunk encoder; nil on the sequential path
-	aheadOff    bool         // pipeline decision made: encode inline
-	stalls      atomic.Int64 // flushes that blocked waiting for a free stage
-	encodeNanos atomic.Int64 // cumulative chunk-encode wall time
-
-	scalarRecord bool // stage full Records and encode per record (reference implementation)
-	scalarReplay bool // force the per-record Consumer path (reference implementation)
-	sealed       bool
-	passes       atomic.Int64 // full replay passes over the buffer, for amortization accounting
+	sealed bool
+	passes atomic.Int64 // full replay passes over the buffer, for amortization accounting
 }
 
 // NewRecorder returns an empty trace recorder.
@@ -100,46 +86,16 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // memory; chunks encoded past the budget spill to a temporary file (deleted
 // on creation, so it can never outlive the process) and stream back during
 // replay. A budget ≤ 0 keeps everything resident. The budget governs chunks
-// encoded after the call, so set it before recording; the ~0.9 MiB staging
-// buffer for the chunk being filled is not counted against it.
+// encoded after the call, so set it before recording; the staging columns
+// for the chunk being filled are not counted against it.
 func (rc *Recorder) SetMemBudget(bytes int64) { rc.memBudget = bytes }
-
-// SetScalarReplay forces every replay pass onto the scalar per-record
-// Consumer path even for consumers that implement BatchConsumer. The batch
-// column kernels are the default; the scalar loop is the reference
-// implementation the batch path is differentially tested against, and this
-// switch is the escape hatch the -scalar-replay flags of vpreport and
-// vpserve expose. Set it before the Recorder is shared; replays only read it.
-func (rc *Recorder) SetScalarReplay(scalar bool) { rc.scalarReplay = scalar }
-
-// SetScalarRecord forces recording onto the scalar reference path: records
-// are staged as full Record structs and varint-encoded one at a time by
-// chunkEncoder.encode, exactly as before the fused column path existed. The
-// default column path (fused VM staging plus chunk-seal batch encoding and
-// the encode-ahead pipeline) is differentially tested to produce
-// byte-identical chunks; this switch is the escape hatch the -scalar-record
-// flags of vprun, vpreport and vpserve expose, and the reference the
-// equivalence suites diff against. Set it before the first Consume.
-func (rc *Recorder) SetScalarRecord(scalar bool) { rc.scalarRecord = scalar }
 
 // ChunksEncoded reports how many chunks have been encoded so far (resident
 // or spilled), the unit of the record-side observability metrics.
-func (rc *Recorder) ChunksEncoded() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.chunksEncoded
-}
+func (rc *Recorder) ChunksEncoded() int64 { return int64(len(rc.chunks)) }
 
-// EncodeStalls reports how many chunk flushes blocked waiting for the
-// encode-ahead pipeline to free a stage — the backpressure signal that the
-// encoder, not the execution loop, is the recording bottleneck.
-func (rc *Recorder) EncodeStalls() int64 { return rc.stalls.Load() }
-
-// EncodeTime reports the cumulative wall time spent encoding chunks
-// (whether inline or on the encode-ahead goroutine).
-func (rc *Recorder) EncodeTime() time.Duration {
-	return time.Duration(rc.encodeNanos.Load())
-}
+// EncodeTime reports the cumulative wall time spent encoding chunks.
+func (rc *Recorder) EncodeTime() time.Duration { return rc.encodeTime }
 
 // Passes reports how many full replay passes have walked the recorded
 // buffer (Replay, ReplayDirs and MultiEval each count one, however many
@@ -147,67 +103,49 @@ func (rc *Recorder) EncodeTime() time.Duration {
 // amortization metrics read it.
 func (rc *Recorder) Passes() int64 { return rc.passes.Load() }
 
-// stagedLen returns the number of records in the staging tail (scalar or
-// column, whichever is active).
+// stagedLen returns the number of records in the staging tail.
 func (rc *Recorder) stagedLen() int {
-	if rc.cols != nil {
-		return rc.cols.N
+	if rc.cols == nil {
+		return 0
 	}
-	return len(rc.staged)
+	return rc.cols.N
 }
 
 // Len returns the number of recorded records.
 func (rc *Recorder) Len() int64 { return rc.nFlushed + int64(rc.stagedLen()) }
 
 // Bytes returns the approximate resident in-memory size of the recorded
-// trace: the encoded chunks still held in memory plus the staging buffer.
-// Spilled chunks do not count.
+// trace: the encoded chunks still held in memory plus the staged records
+// (at the decoded Record size). Spilled chunks do not count.
 func (rc *Recorder) Bytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	return rc.residentBytes + int64(rc.stagedLen())*recordMemBytes
 }
 
 // EncodedBytes returns the total encoded size of all flushed chunks,
 // resident and spilled. Records still in the staging buffer (at most one
 // partial chunk; none once sealed) are not yet encoded.
-func (rc *Recorder) EncodedBytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.encodedBytes
-}
+func (rc *Recorder) EncodedBytes() int64 { return rc.encodedBytes }
 
 // BytesResident returns the encoded bytes currently held in memory.
-func (rc *Recorder) BytesResident() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.residentBytes
-}
+func (rc *Recorder) BytesResident() int64 { return rc.residentBytes }
 
-// ReplayResidentBytes returns the peak in-memory working set of one replay
-// pass over the flushed chunks: the resident encoded bytes plus, when any
-// chunk has spilled, two chunk-sized read buffers (readback is double
-// buffered — one chunk decoding while the next is fetched). This is the
-// honest per-pass memory figure for a spilled trace, where BytesResident
-// alone would report a misleading zero.
+// ReplayResidentBytes returns the peak in-memory encoded working set of one
+// replay pass: the resident chunks plus, when any chunk has spilled, one
+// chunk-sized read buffer per batch in flight (one on the inline walk, two
+// per decode lane). This is the honest per-pass memory figure for a spilled
+// trace, where BytesResident alone would report a misleading zero.
 func (rc *Recorder) ReplayResidentBytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	b := rc.residentBytes
 	if rc.spilledChunks > 0 {
-		b += 2 * rc.maxChunkBytes
+		b += int64(max(1, 2*decodeLanes(len(rc.chunks)))) * rc.maxChunkBytes
 	}
 	return b
 }
 
 // SpilledChunks returns how many chunks were written to the spill file.
-func (rc *Recorder) SpilledChunks() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.spilledChunks
-}
+func (rc *Recorder) SpilledChunks() int64 { return rc.spilledChunks }
 
-// Seal marks recording complete: the staging buffer is encoded and released,
+// Seal marks recording complete: the staging tail is encoded and released,
 // further Consume panics, and the Recorder may be replayed concurrently from
 // any number of goroutines. Sealing is idempotent. The caller must establish
 // a happens-before edge between Seal and the first concurrent Replay
@@ -217,31 +155,10 @@ func (rc *Recorder) Seal() {
 	if rc.sealed {
 		return
 	}
-	if rc.ahead != nil {
-		// Stop the encode-ahead pipeline first: it drains every queued
-		// stage in order, so the inline tail encode below lands last.
-		rc.ahead.stop()
-		rc.ahead = nil
-	}
-	if len(rc.staged) > 0 {
-		rc.flushStaged()
-	}
 	if rc.cols != nil {
-		if rc.cols.N > 0 {
-			rc.nFlushed += int64(rc.cols.N)
-			rc.encodeStage(rc.encoder(), rc.cols)
-		}
+		rc.FlushColumns()
 		putCols(rc.cols)
 		rc.cols = nil
-	}
-	rc.staged = nil
-	if rc.stagedSlab != nil {
-		putSlab(rc.stagedSlab)
-		rc.stagedSlab = nil
-	}
-	if rc.tailSlab != nil {
-		putSlab(rc.tailSlab)
-		rc.tailSlab = nil
 	}
 	if rc.enc != nil {
 		encoderPool.Put(rc.enc)
@@ -266,82 +183,51 @@ func (rc *Recorder) Close() error {
 	return err
 }
 
-// Consume implements Consumer by appending a copy of r. On the default
-// column path the record is destructured straight into the staging columns
-// (so scalar producers and the fused VM loop share one representation); in
-// scalar-record mode it is staged as a full Record, the reference path.
+// Consume implements Consumer by destructuring r into the staging columns,
+// the same representation the fused VM loop writes directly.
 func (rc *Recorder) Consume(r *Record) {
-	if rc.sealed {
+	st := rc.ColumnStage()
+	if st == nil {
 		panic("trace: Consume on a sealed Recorder (recording after publication)")
 	}
-	if !rc.scalarRecord {
-		st := rc.cols
-		if st == nil {
-			st = rc.newStage()
-		}
-		st.appendRecord(r)
-		if st.N == st.Cap() {
-			rc.FlushColumns()
-		}
-		return
+	st.appendRecord(r)
+	if st.N == st.Cap() {
+		rc.FlushColumns()
 	}
-	if rc.staged == nil {
-		// The ~0.9 MiB staging buffer comes from the replay slab pool (same
-		// shape, same lifetime discipline) and returns there at Seal, so
-		// recording a trace does not allocate it fresh per Recorder.
-		rc.stagedSlab = getSlab()
-		rc.staged = rc.stagedSlab.recs[:0]
-	}
-	rc.staged = append(rc.staged, *r)
-	if len(rc.staged) == recorderChunkSize {
-		rc.flushStaged()
-	}
-}
-
-// newStage installs a fresh column stage positioned at the current stream
-// offset.
-func (rc *Recorder) newStage() *RecordColumns {
-	st := getCols()
-	st.FirstSeq = rc.nFlushed
-	rc.cols = st
-	return st
 }
 
 // ColumnStage implements ColumnAppender: it returns the live staging
-// columns for fused recording, or nil when the recorder is sealed or in
-// scalar-record mode (sending the producer down the per-record reference
-// path). The producer appends by writing element N of every column and
-// incrementing N, calling FlushColumns when N reaches Cap.
+// columns for fused recording, or nil once the recorder is sealed. The
+// producer appends by writing element N of every column and incrementing N,
+// calling FlushColumns when N reaches Cap.
 func (rc *Recorder) ColumnStage() *RecordColumns {
-	if rc.sealed || rc.scalarRecord {
+	if rc.sealed {
 		return nil
 	}
 	if rc.cols == nil {
-		return rc.newStage()
+		rc.cols = getCols()
+		rc.cols.FirstSeq = rc.nFlushed
 	}
 	return rc.cols
 }
 
-// FlushColumns seals the filled column stage into one encoded chunk and
-// returns the stage to continue appending into. On multi-core machines the
-// stage is handed to the encode-ahead pipeline and a recycled stage comes
-// back immediately, overlapping execution with compression and spill
-// writes; single-core machines encode inline (same chunks, same order,
-// byte-identical output).
+// FlushColumns encodes the staged columns into one chunk (retained or
+// spilled) and returns the emptied stage to continue appending into.
 func (rc *Recorder) FlushColumns() *RecordColumns {
-	st := rc.cols
+	st := rc.ColumnStage()
 	if st == nil || st.N == 0 {
-		return rc.ColumnStage()
+		return st
 	}
+	start := time.Now()
+	if rc.enc == nil {
+		rc.enc = encoderPool.Get().(*chunkEncoder)
+	}
+	enc := rc.enc
+	enc.buf = enc.encodeCols(enc.buf[:0], st, true)
+	rc.appendEncoded(enc.buf, st.N)
+	rc.encodeTime += time.Since(start)
 	rc.nFlushed += int64(st.N)
-	if rc.pipeline() {
-		rc.ahead.submit(st)
-		st = rc.ahead.acquire(rc)
-		rc.cols = st
-	} else {
-		rc.encodeStage(rc.encoder(), st)
-		st.N = 0
-	}
+	st.N = 0
 	st.FirstSeq = rc.nFlushed
 	return st
 }
@@ -351,51 +237,6 @@ func (rc *Recorder) FlushColumns() *RecordColumns {
 // nothing to do.
 func (rc *Recorder) FlushTail() {}
 
-// pipeline reports whether chunk encoding runs on the encode-ahead
-// goroutine, starting it on first use. The pipeline only helps when another
-// CPU can run the encoder; at GOMAXPROCS=1 it is pure scheduling overhead,
-// so the flush encodes inline — the sequential fallback.
-func (rc *Recorder) pipeline() bool {
-	if rc.ahead != nil {
-		return true
-	}
-	if rc.aheadOff {
-		return false
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		rc.ahead = startEncodeAhead(rc)
-		return true
-	}
-	rc.aheadOff = true
-	return false
-}
-
-// encoder returns the recorder-owned chunk encoder, pooled across
-// Recorders.
-func (rc *Recorder) encoder() *chunkEncoder {
-	if rc.enc == nil {
-		rc.enc = encoderPool.Get().(*chunkEncoder)
-	}
-	return rc.enc
-}
-
-// encodeStage encodes one full column stage and retains or spills it.
-func (rc *Recorder) encodeStage(enc *chunkEncoder, st *RecordColumns) {
-	start := time.Now()
-	enc.buf = enc.encodeCols(enc.buf[:0], st, true)
-	rc.appendEncoded(enc.buf, st.N)
-	rc.encodeNanos.Add(int64(time.Since(start)))
-}
-
-// drainEncode blocks until every stage handed to the encode-ahead pipeline
-// has been encoded, so an unsealed replay (or the seal itself) observes all
-// flushed chunks. No-op on the sequential path.
-func (rc *Recorder) drainEncode() {
-	if rc.ahead != nil {
-		rc.ahead.drain()
-	}
-}
-
 // encoderPool recycles chunkEncoders — their per-column scratch and the
 // encode output buffer — across Recorders. Encoding into pooled scratch and
 // copying out exactly the retained bytes (nothing at all for spilled
@@ -403,31 +244,12 @@ func (rc *Recorder) drainEncode() {
 // right-sized chunk copy, measured by BenchmarkVMStepsRecording.
 var encoderPool = sync.Pool{New: func() any { return new(chunkEncoder) }}
 
-// flushStaged transposes the scalar staging buffer into one encoded chunk —
-// the per-record reference encoder of scalar-record mode.
-func (rc *Recorder) flushStaged() {
-	start := time.Now()
-	enc := rc.encoder()
-	enc.buf = enc.encode(enc.buf[:0], rc.staged, rc.nFlushed, true)
-	rc.nFlushed += int64(len(rc.staged))
-	rc.appendEncoded(enc.buf, len(rc.staged))
-	rc.encodeNanos.Add(int64(time.Since(start)))
-	rc.staged = rc.staged[:0]
-}
-
 // appendEncoded retains one encoded chunk resident — or spills it when past
-// the memory budget — and appends it to the chunk index. Called inline or
-// from the encode-ahead goroutine, always in stream order; mu makes the
-// bookkeeping safe against concurrent accessor reads while the pipeline is
-// live.
+// the memory budget — and appends it to the chunk index.
 func (rc *Recorder) appendEncoded(data []byte, n int) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	c := rchunk{size: int32(len(data)), n: int32(n)}
+	c := rchunk{size: int32(len(data)), n: int32(n), firstSeq: rc.nFlushed}
 	rc.encodedBytes += int64(len(data))
-	if int64(len(data)) > rc.maxChunkBytes {
-		rc.maxChunkBytes = int64(len(data))
-	}
+	rc.maxChunkBytes = max(rc.maxChunkBytes, int64(len(data)))
 	if rc.memBudget > 0 && rc.residentBytes+int64(len(data)) > rc.memBudget {
 		if rc.spill == nil {
 			sf, err := newSpillFile()
@@ -443,189 +265,74 @@ func (rc *Recorder) appendEncoded(data []byte, n int) {
 		c.off = off
 		rc.spilledChunks++
 	} else {
-		retained := make([]byte, len(data))
-		copy(retained, data)
-		c.data = retained
+		c.data = append([]byte(nil), data...)
 		rc.residentBytes += int64(len(data))
 	}
 	rc.chunks = append(rc.chunks, c)
-	rc.chunksEncoded++
 }
 
-// tailRecords returns the partially filled staging tail as records: the
-// scalar staging buffer directly, or the column stage materialized into
-// pooled scratch (valid until the next Consume or flush). Sealed recorders
-// have no tail.
-func (rc *Recorder) tailRecords() []Record {
-	if rc.cols == nil || rc.cols.N == 0 {
-		return rc.staged
-	}
-	if rc.tailSlab == nil {
-		rc.tailSlab = getSlab()
-	}
-	out := rc.tailSlab.recs[:rc.cols.N]
-	rc.cols.materialize(out)
-	return out
-}
-
-// walkChunks streams every flushed chunk's encoded bytes through fn in
-// record order, reading spilled chunks back sequentially through a
-// double-buffered prefetcher so decode of chunk k overlaps the read of
-// chunk k+1. fn must fully consume data before returning (the prefetch
-// buffers are recycled). The staging tail is NOT walked — callers feed
-// rc.staged directly after the walk.
-func (rc *Recorder) walkChunks(fn func(data []byte, n int, firstSeq int64)) {
-	// The prefetch goroutine only helps when another CPU can run it; on a
-	// single-core machine it is pure scheduling overhead, so read inline.
-	var pf *prefetcher
-	var buf []byte
-	if rc.spilledChunks > 0 && runtime.GOMAXPROCS(0) > 1 {
-		pf = startPrefetch(rc.spill, rc.chunks)
-		defer pf.stop()
-	}
-	firstSeq := int64(0)
-	for i := range rc.chunks {
-		c := &rc.chunks[i]
-		data := c.data
-		if data == nil {
-			if pf != nil {
-				data = pf.next()
-			} else {
-				if cap(buf) < int(c.size) {
-					buf = make([]byte, c.size)
-				}
-				buf = buf[:c.size]
-				if _, err := rc.spill.f.ReadAt(buf, c.off); err != nil {
-					panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
-				}
-				data = buf
-			}
+// loadBatch decodes chunk i into b: resident chunks in place, spilled ones
+// after one positional read into the batch-owned scratch (so pipelined
+// reads never alias a batch a consumer still holds). When records is set
+// the batch is also materialized into b.recs for scalar consumers.
+func (rc *Recorder) loadBatch(b *Batch, i int, records bool) {
+	c := &rc.chunks[i]
+	data := c.data
+	if data == nil {
+		data = b.spillBuf(int(c.size))
+		if _, err := rc.spill.f.ReadAt(data, c.off); err != nil {
+			panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
 		}
-		fn(data, int(c.n), firstSeq)
-		if pf != nil && c.data == nil {
-			pf.recycle(data)
+	}
+	mustDecodeBatch(b, data, c.firstSeq)
+	if records {
+		if cap(b.recs) < b.N {
+			b.recs = make([]Record, b.N)
 		}
-		firstSeq += int64(c.n)
+		b.recs = b.Records(b.recs)
 	}
 }
-
-// mustDecodeChunk batch-decodes a chunk the Recorder encoded itself into
-// out; failure would mean memory or spill-file corruption.
-func mustDecodeChunk(out []Record, data []byte, firstSeq int64) int {
-	n, err := decodeChunk(out, data, firstSeq, true, false)
-	if err != nil {
-		panic("trace: corrupt recorded chunk: " + err.Error())
-	}
-	return n
-}
-
-// recSlab is one pooled chunk-sized Record buffer plus the per-buffer
-// scratch for reading a spilled chunk back from disk. The spill scratch
-// lives on the buffer (not the decode lane) because the pipelined walk
-// reads chunk i+lanes while the consumer still holds chunk i — a
-// lane-shared buffer would be overwritten under the consumer's feet. That
-// hazard is theoretical for fully materialized Record slabs but real for
-// batches, whose byte columns alias the encoded bytes; keeping the scratch
-// per-buffer makes both walks safe by construction.
-type recSlab struct {
-	recs []Record
-	n    int
-	raw  []byte
-}
-
-// spillBuf returns the slab-owned scratch for reading one spilled chunk.
-func (s *recSlab) spillBuf(size int) []byte {
-	if cap(s.raw) < size {
-		s.raw = make([]byte, size)
-	}
-	s.raw = s.raw[:size]
-	return s.raw
-}
-
-// slabPool recycles chunk-sized decode slabs across replay passes. A slab is
-// ~0.9 MiB, so per-pass allocation would dominate short replays; the pool
-// keeps steady-state replay allocation-free.
-var slabPool = sync.Pool{New: func() any {
-	return &recSlab{recs: make([]Record, recorderChunkSize)}
-}}
-
-func getSlab() *recSlab  { return slabPool.Get().(*recSlab) }
-func putSlab(s *recSlab) { slabPool.Put(s) }
 
 // decodeLanes picks the decode-ahead width for a replay pass: one lane per
-// spare CPU up to six (the chunk transpose costs ~16 ns/record against
-// ~3 ns/record of consumer dispatch, so walkonly replay needs five-plus
-// lanes before the decode fully hides; heavier consumers saturate sooner),
-// zero — the inline sequential path — when the machine is single-core or
-// the trace too small to pipeline.
+// spare CPU up to six, zero — the inline sequential walk — when the machine
+// is single-core or the trace too small to pipeline.
 func decodeLanes(nchunks int) int {
-	w := runtime.GOMAXPROCS(0) - 1
-	if w > 6 {
-		w = 6
-	}
-	if w > nchunks-1 {
-		w = nchunks - 1
-	}
-	if w < 1 {
-		return 0
-	}
-	return w
+	return max(0, min(runtime.GOMAXPROCS(0)-1, 6, nchunks-1))
 }
 
-// walkPipe streams every flushed chunk through deliver as a decoded buffer
-// (a Record slab or a column Batch), in record order. On multi-core
-// machines the decode runs ahead of the consumer on a small pool of worker
-// lanes — chunk i is decoded on lane i%lanes while the consumer walks
-// earlier buffers, so the per-record cost of the consume loop approaches
-// the raw in-memory walk and the decode hides behind it. Each lane owns two
-// buffers (decode one while the consumer holds the other); delivery is
-// strictly round-robin, which keeps record order without any reordering
-// buffer. Spilled chunks are read back by the lane that decodes them
-// (positional reads are independent) into buffer-owned scratch, replacing
-// the sequential prefetcher on that path. Single-core or tiny traces fall
-// back to inline decode through walkChunks. The buffer passed to deliver is
-// valid only until deliver returns — every element is rewritten on the next
-// decode.
-func walkPipe[B interface{ spillBuf(size int) []byte }](
-	rc *Recorder,
-	get func() B, put func(B),
-	decode func(buf B, data []byte, firstSeq int64),
-	deliver func(buf B),
-) {
+// walkBatches streams every encoded chunk through fn as a decoded Batch, in
+// record order; records asks for b.recs to be materialized too. On
+// multi-core machines the decode runs ahead of the consumer on a small pool
+// of worker lanes: chunk i is decoded on lane i%lanes while the consumer
+// walks earlier batches. Each lane owns two batches (decode one while the
+// consumer holds the other); delivery is strictly round-robin, which keeps
+// record order without a reordering buffer. Each batch is valid only until
+// fn returns. The staging tail is not walked.
+func (rc *Recorder) walkBatches(records bool, fn func(b *Batch)) {
 	nchunks := len(rc.chunks)
-	if nchunks == 0 {
-		return
-	}
 	lanes := decodeLanes(nchunks)
 	if lanes == 0 {
-		buf := get()
-		defer put(buf)
-		rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-			decode(buf, data, firstSeq)
-			deliver(buf)
-		})
+		b := getBatch()
+		defer putBatch(b)
+		for i := range rc.chunks {
+			rc.loadBatch(b, i, records)
+			fn(b)
+		}
 		return
-	}
-
-	firstSeqs := make([]int64, nchunks)
-	var fs int64
-	for i := range rc.chunks {
-		firstSeqs[i] = fs
-		fs += int64(rc.chunks[i].n)
 	}
 
 	type lane struct {
-		out  chan B // decoded buffers, in this lane's chunk order
-		free chan B // buffers returned by the consumer
+		out  chan *Batch // decoded batches, in this lane's chunk order
+		free chan *Batch // batches returned by the consumer
 	}
 	ls := make([]lane, lanes)
 	done := make(chan struct{})
 	panics := make(chan any, lanes)
 	var wg sync.WaitGroup
 	for w := range ls {
-		ls[w] = lane{out: make(chan B, 1), free: make(chan B, 2)}
-		ls[w].free <- get()
-		ls[w].free <- get()
+		ls[w] = lane{out: make(chan *Batch, 1), free: make(chan *Batch, 2)}
+		ls[w].free <- getBatch()
+		ls[w].free <- getBatch()
 		wg.Add(1)
 		go func(w int, ln lane) {
 			defer wg.Done()
@@ -636,24 +343,15 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 				}
 			}()
 			for i := w; i < nchunks; i += lanes {
-				var buf B
+				var b *Batch
 				select {
-				case buf = <-ln.free:
+				case b = <-ln.free:
 				case <-done:
 					return
 				}
-				c := &rc.chunks[i]
-				data := c.data
-				if data == nil {
-					sb := buf.spillBuf(int(c.size))
-					if _, err := rc.spill.f.ReadAt(sb, c.off); err != nil {
-						panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
-					}
-					data = sb
-				}
-				decode(buf, data, firstSeqs[i])
+				rc.loadBatch(b, i, records)
 				select {
-				case ln.out <- buf:
+				case ln.out <- b:
 				case <-done:
 					return
 				}
@@ -661,218 +359,67 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 			close(ln.out)
 		}(w, ls[w])
 	}
+	// Runs on normal return and when fn panics: every lane exits before the
+	// walk returns, and the batches still parked in lanes go back to the
+	// pool (a lane that aborted mid-decode keeps its batch for the GC).
 	defer func() {
 		close(done)
 		wg.Wait()
-		// Return every buffer still parked in a lane to the pool. A lane
-		// that aborted mid-decode keeps its buffer; the GC reclaims it.
 		for _, ln := range ls {
-			for {
-				select {
-				case b := <-ln.free:
-					put(b)
-					continue
-				default:
+			close(ln.free) // no lane sends on free; ranging drains it
+			for b := range ln.free {
+				putBatch(b)
+			}
+			select {
+			case b, ok := <-ln.out:
+				if ok {
+					putBatch(b)
 				}
-				select {
-				case b, ok := <-ln.out:
-					if ok {
-						put(b)
-						continue
-					}
-				default:
-				}
-				break
+			default:
 			}
 		}
 	}()
 	for i := 0; i < nchunks; i++ {
 		ln := ls[i%lanes]
-		buf, ok := <-ln.out
+		b, ok := <-ln.out
 		if !ok {
 			panic(<-panics)
 		}
-		deliver(buf)
-		ln.free <- buf
+		fn(b)
+		ln.free <- b
 	}
 }
 
-// walkSlabs streams every flushed chunk through fn as a decoded []Record
-// slab, in record order (see walkPipe for the pipelining). fn may mutate
-// the slab — ReplayDirs patches directives in place.
-func (rc *Recorder) walkSlabs(fn func(recs []Record)) {
-	walkPipe(rc, getSlab, putSlab,
-		func(s *recSlab, data []byte, firstSeq int64) {
-			s.n = mustDecodeChunk(s.recs, data, firstSeq)
-		},
-		func(s *recSlab) { fn(s.recs[:s.n]) })
-}
-
-// walkBatches streams every flushed chunk through fn as decoded column
-// Batches, in record order (see walkPipe for the pipelining). Each batch is
-// valid only until fn returns; its byte columns alias either the immutable
-// resident chunk or the batch-owned spill scratch, so concurrent replays
-// never share mutable state. On the inline single-core path chunks are
-// delivered as cache-resident sub-batches (see streamBatch); lane-decoded
-// chunks arrive whole, one batch per chunk.
-func (rc *Recorder) walkBatches(fn func(b *Batch)) {
-	if decodeLanes(len(rc.chunks)) == 0 {
-		b := getBatch()
-		defer putBatch(b)
-		rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-			mustStreamBatch(b, data, firstSeq, fn)
-		})
-		return
-	}
-	walkPipe(rc, getBatch, putBatch,
-		func(b *Batch, data []byte, firstSeq int64) {
-			mustDecodeBatch(b, data, firstSeq)
-		},
-		fn)
-}
-
-// batchable returns the consumers as batch kernels when the batch path is
-// enabled and every consumer supports it, nil otherwise (mixed fan-outs
-// fall back to the scalar walk so all consumers observe one decode).
-func (rc *Recorder) batchable(consumers []Consumer) []BatchConsumer {
-	if rc.scalarReplay || len(consumers) == 0 {
-		return nil
-	}
-	bcs := make([]BatchConsumer, len(consumers))
-	for i, c := range consumers {
-		bc, ok := c.(BatchConsumer)
-		if !ok {
-			return nil
-		}
-		bcs[i] = bc
-	}
-	return bcs
-}
-
-// Replay feeds the recorded stream to the consumers in order. Consumers
-// implementing BatchConsumer (all of them, or none — mixed sets fall back)
-// receive whole decoded chunks as column batches; otherwise chunks are
-// batch-decoded into scratch slabs (running ahead of the consumer on
-// multi-core machines, see walkPipe) and handed out record by record under
-// the live-run contract: the record is only valid for the duration of the
-// Consume call, and consumers must not modify it.
+// Replay feeds the recorded stream to the consumers, in stream order per
+// consumer: a single MultiEval pass with one undirected configuration each.
+// Batch consumers receive whole decoded chunks; others receive records
+// under the live-run contract (valid only for the duration of the Consume
+// call, read-only).
 func (rc *Recorder) Replay(consumers ...Consumer) {
-	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	if bcs := rc.batchable(consumers); bcs != nil {
-		rc.walkBatches(func(b *Batch) {
-			for _, c := range bcs {
-				c.ConsumeBatch(b)
-			}
-		})
-		for i := range staged {
-			for _, c := range consumers {
-				c.Consume(&staged[i])
-			}
-		}
-		return
-	}
-	if len(consumers) == 1 {
-		// The common fan-out, with the consumer interface loaded once.
-		c := consumers[0]
-		rc.walkSlabs(func(recs []Record) {
-			for i := range recs {
-				c.Consume(&recs[i])
-			}
-		})
-		for i := range staged {
-			c.Consume(&staged[i])
-		}
-		return
-	}
-	rc.walkSlabs(func(recs []Record) {
-		for i := range recs {
-			for _, c := range consumers {
-				c.Consume(&recs[i])
-			}
-		}
-	})
-	for i := range staged {
-		for _, c := range consumers {
-			c.Consume(&staged[i])
-		}
-	}
+	rc.MultiEval(configs(nil, consumers)...)
 }
 
 // ReplayDirs replays the recorded stream with the directive of each record
 // overridden by dirs[Addr] (DirNone for addresses outside dirs). Annotation
 // changes only the directive bits of a program — no code motion — so
 // replaying a plain-program trace under an annotated program's directives is
-// bit-identical to re-executing the annotated program. Each record is
-// patched in the decode scratch; the recorded chunks are never modified,
-// keeping concurrent replays safe.
+// bit-identical to re-executing the annotated program. The patch is applied
+// to per-pass scratch; the recorded chunks are never modified, keeping
+// concurrent replays safe.
 func (rc *Recorder) ReplayDirs(dirs []isa.Directive, consumers ...Consumer) {
-	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	if bcs := rc.batchable(consumers); bcs != nil {
-		rc.walkBatches(func(b *Batch) {
-			// The Dir column is batch-owned decode scratch (rewritten on
-			// the next decode), so the patch writes it in place.
-			patchDirs(b.Dir, b.Addr, dirs)
-			for _, c := range bcs {
-				c.ConsumeBatch(b)
-			}
-		})
-		var rec Record
-		for i := range staged {
-			rec = staged[i]
-			if a := rec.Addr; a >= 0 && a < int64(len(dirs)) {
-				rec.Dir = dirs[a]
-			} else {
-				rec.Dir = isa.DirNone
-			}
-			for _, c := range consumers {
-				c.Consume(&rec)
-			}
-		}
-		return
+	if dirs == nil {
+		dirs = []isa.Directive{} // a nil table would mean "recorded directives"
 	}
-	var single Consumer
-	if len(consumers) == 1 {
-		single = consumers[0]
+	rc.MultiEval(configs(dirs, consumers)...)
+}
+
+// configs pairs every consumer with the same directive table.
+func configs(dirs []isa.Directive, consumers []Consumer) []EvalConfig {
+	cfgs := make([]EvalConfig, len(consumers))
+	for i, c := range consumers {
+		cfgs[i] = EvalConfig{Dirs: dirs, Consumer: c}
 	}
-	patch := func(r *Record) {
-		if a := r.Addr; a >= 0 && a < int64(len(dirs)) {
-			r.Dir = dirs[a]
-		} else {
-			r.Dir = isa.DirNone
-		}
-	}
-	// The directive is patched in the decode slab — scratch owned by this
-	// pass — so the recorded chunks are never modified and concurrent
-	// replays stay safe.
-	rc.walkSlabs(func(recs []Record) {
-		for i := range recs {
-			r := &recs[i]
-			patch(r)
-			if single != nil {
-				single.Consume(r)
-			} else {
-				for _, c := range consumers {
-					c.Consume(r)
-				}
-			}
-		}
-	})
-	var rec Record
-	for i := range staged {
-		rec = staged[i]
-		patch(&rec)
-		if single != nil {
-			single.Consume(&rec)
-		} else {
-			for _, c := range consumers {
-				c.Consume(&rec)
-			}
-		}
-	}
+	return cfgs
 }
 
 // DirsOf extracts the per-address directive table of a text segment, the

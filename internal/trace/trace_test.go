@@ -117,8 +117,8 @@ func TestFileRoundTripQuick(t *testing.T) {
 
 // TestFileV1RoundTripArbitrarySeq is the VPTRC01 compatibility regression
 // test: the legacy format stores Seq on disk verbatim, so arbitrary
-// (non-positional) Seq values must survive a v1 round trip even though the
-// v2 format derives Seq from position.
+// (non-positional) Seq values in a v1 file must read back unchanged even
+// though the v2 format derives Seq from position.
 func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
 	recs := sampleRecords()
 	recs[0].Seq = 1 << 40
@@ -127,18 +127,7 @@ func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
 	recs[3].Seq = 999999999
 	recs[4].Seq = 42
 
-	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		w.Consume(&recs[i])
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(writeV1(recs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +222,7 @@ func TestReaderCleanEOF(t *testing.T) {
 }
 
 func TestReaderRejectsCorruptOpcode(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriterFormat(&buf, FormatV1)
-	recs := sampleRecords()
-	w.Consume(&recs[0])
-	w.Close()
-	b := buf.Bytes()
+	b := writeV1(sampleRecords()[:1])
 	b[8+32] = 0xee // opcode byte of first v1 record
 	r, err := NewReader(bytes.NewReader(b))
 	if err != nil {

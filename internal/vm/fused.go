@@ -21,8 +21,8 @@ import (
 // so each step checks nothing but the PC bound and the halt flag. Limit
 // errors still fire at exactly the step the reference loop would fail, with
 // the same message. stepFused must stay semantically identical to step; the
-// differential suites byte-diff the recorded chunks against the
-// SetScalarRecord reference across the whole workload registry.
+// differential suites byte-diff fused trace files against files written from
+// the per-record step loop across the whole workload registry.
 
 // runFused executes until HALT or a limit, appending one column row per
 // retired instruction. The caller flushes the partial tail.

@@ -300,8 +300,8 @@ func (m *Machine) Run() error {
 		events = 0 // no consumers, no events to bound
 	}
 	inject := faults.Active()
-	// Fused recording fast path: a single column-writing consumer (the
-	// Recorder's default mode, or a ColumnSink over a batch kernel) takes
+	// Fused recording fast path: a single column-writing consumer (a
+	// Recorder or trace Writer, or a ColumnSink over a batch kernel) takes
 	// the dispatch loop that stores destructured record fields straight
 	// into staging columns — no Record materialization, no interface call
 	// per step. Fault injection needs its per-step hook, so an armed plan

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -44,7 +45,9 @@ func BenchmarkVMSteps(b *testing.B) {
 }
 
 // BenchmarkVMStepsRecording measures interpreter throughput with the trace
-// recorder attached — the cost of producing the replay cache.
+// recorder attached — the cost of producing the replay cache. Its ns/op over
+// BenchmarkVMSteps' is the recording overhead ratio scripts/bench_smoke.sh
+// gates on.
 func BenchmarkVMStepsRecording(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -54,30 +57,6 @@ func BenchmarkVMStepsRecording(b *testing.B) {
 	var total int64
 	for i := 0; i < b.N; i++ {
 		rec := trace.NewRecorder()
-		n, err := workload.Run(prog, rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += n
-	}
-	b.StopTimer()
-	reportMIPS(b, total)
-}
-
-// BenchmarkVMStepsRecordingScalar measures the same recording run forced
-// onto the scalar per-record reference path (-scalar-record). The ratio
-// scalar/fused is the recording speedup bench_smoke.sh gates on — a
-// machine-independent measure of what the fused execute+encode path buys.
-func BenchmarkVMStepsRecordingScalar(b *testing.B) {
-	prog, err := workload.Build("compress", workload.EvaluationInput())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		rec := trace.NewRecorder()
-		rec.SetScalarRecord(true)
 		n, err := workload.Run(prog, rec)
 		if err != nil {
 			b.Fatal(err)
@@ -252,26 +231,26 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceStore measures the columnar trace store against the AoS
-// layout it replaced: walk throughput for the resident AoS, resident
-// columnar, and fully-spilled columnar stores, plus serialization cost per
-// record for the VPTRC01 and VPTRC02 file formats. The walk legs report
-// memB/rec (in-memory footprint per record); the disk legs report diskB/rec.
-// scripts/bench_smoke.sh gates on walk-columnar staying within 5% of
-// walk-aos and on the ≥3x memory / ≥2x disk compression ratios.
+// BenchmarkTraceStore measures the columnar trace store against a plain
+// []Record buffer: walk throughput for the resident records, the resident
+// columnar store and the fully-spilled columnar store, plus serialization
+// cost per record for the VPTRC02 file format. The walk legs report memB/rec
+// (in-memory footprint per record); disk-v2 reports diskB/rec (VPTRC01, no
+// longer written, is a fixed 40 B/rec). scripts/bench_smoke.sh gates on the
+// walk ratios and on the ≥3x memory / ≥2x disk compression ratios.
 func BenchmarkTraceStore(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
 		b.Fatal(err)
 	}
-	aos := trace.NewAoSRecorder()
+	var aos []trace.Record
+	capture := trace.ConsumerFunc(func(r *trace.Record) { aos = append(aos, *r) })
 	col := trace.NewRecorder()
 	spill := trace.NewRecorder()
 	spill.SetMemBudget(1)
-	if _, err := workload.Run(prog, trace.Tee{aos, col, spill}); err != nil {
+	if _, err := workload.Run(prog, trace.Tee{capture, col, spill}); err != nil {
 		b.Fatal(err)
 	}
-	aos.Seal()
 	col.Seal()
 	spill.Seal()
 	b.Cleanup(func() { col.Close(); spill.Close() })
@@ -279,77 +258,58 @@ func BenchmarkTraceStore(b *testing.B) {
 		b.Fatal("spill recorder did not spill")
 	}
 
-	type replayer interface {
-		Replay(...trace.Consumer)
-		Len() int64
-		Bytes() int64
-	}
-	walk := func(rc replayer) func(b *testing.B) {
+	// walk replays rc through a near-free consumer; memBytes is the store's
+	// in-memory footprint.
+	walk := func(replay func(trace.Consumer), memBytes int64) func(b *testing.B) {
 		return func(b *testing.B) {
 			var total, seen int64
 			for i := 0; i < b.N; i++ {
-				rc.Replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
-				total += rc.Len()
+				replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
+				total += int64(len(aos))
 			}
 			b.StopTimer()
 			if seen != total {
 				b.Fatalf("replayed %d records, want %d", seen, total)
 			}
 			reportMIPS(b, total)
-			b.ReportMetric(float64(rc.Bytes())/float64(rc.Len()), "memB/rec")
+			b.ReportMetric(float64(memBytes)/float64(len(aos)), "memB/rec")
 		}
 	}
-	b.Run("walk-aos", walk(aos))
-	b.Run("walk-columnar", walk(col))
-	b.Run("walk-spill", func(b *testing.B) {
-		var total, seen int64
+	b.Run("walk-aos", walk(func(c trace.Consumer) {
+		for i := range aos {
+			c.Consume(&aos[i])
+		}
+	}, int64(len(aos))*int64(unsafe.Sizeof(trace.Record{}))))
+	b.Run("walk-columnar", walk(func(c trace.Consumer) { col.Replay(c) }, col.Bytes()))
+	// Bytes() is ~0 for a fully spilled store; the honest footprint is the
+	// replay working set (resident chunks + spill read buffers in flight).
+	b.Run("walk-spill", walk(func(c trace.Consumer) { spill.Replay(c) }, spill.ReplayResidentBytes()))
+
+	b.Run("disk-v2", func(b *testing.B) {
+		var total, bytes int64
 		for i := 0; i < b.N; i++ {
-			spill.Replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
-			total += spill.Len()
+			cw := &countWriter{}
+			tw, err := trace.NewWriter(cw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			col.Replay(tw)
+			if err := tw.Close(); err != nil {
+				b.Fatal(err)
+			}
+			total += tw.Count()
+			bytes = cw.n
 		}
 		b.StopTimer()
-		if seen != total {
-			b.Fatalf("replayed %d records, want %d", seen, total)
-		}
 		reportMIPS(b, total)
-		// Bytes() is ~0 for a fully spilled store; the honest footprint is
-		// the replay working set (resident chunks + double-buffered readback).
-		b.ReportMetric(float64(spill.ReplayResidentBytes())/float64(spill.Len()), "memB/rec")
+		b.ReportMetric(float64(bytes)/float64(col.Len()), "diskB/rec")
 	})
-
-	disk := func(format trace.Format) func(b *testing.B) {
-		return func(b *testing.B) {
-			var total int64
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				cw := &countWriter{}
-				tw, err := trace.NewWriterFormat(cw, format)
-				if err != nil {
-					b.Fatal(err)
-				}
-				col.Replay(tw)
-				if err := tw.Close(); err != nil {
-					b.Fatal(err)
-				}
-				total += tw.Count()
-				bytes = cw.n
-			}
-			b.StopTimer()
-			reportMIPS(b, total)
-			b.ReportMetric(float64(bytes)/float64(col.Len()), "diskB/rec")
-		}
-	}
-	b.Run("disk-v1", disk(trace.FormatV1))
-	b.Run("disk-v2", disk(trace.FormatV2))
 }
 
-// BenchmarkBatchKernels measures the batch column-kernel replay path
-// against the scalar per-record reference on the same sealed trace. The
-// walkonly pair is the machine-independent headline (a near-free consumer,
-// so the ratio isolates decode + dispatch — the overhead the batch path
-// removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler
-// and engine pairs show how much of the win survives under real
-// consumer work. All legs report ns/rec.
+// BenchmarkBatchKernels measures replay of one sealed trace through the
+// batch column kernels: a near-free consumer (walkonly: decode + dispatch
+// only), the profile collector and a prediction engine. All legs report
+// ns/rec.
 func BenchmarkBatchKernels(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -361,19 +321,6 @@ func BenchmarkBatchKernels(b *testing.B) {
 	}
 	rec.Seal()
 
-	pair := func(name string, run func(b *testing.B)) {
-		for _, leg := range []struct {
-			suffix string
-			scalar bool
-		}{{"scalar", true}, {"batch", false}} {
-			b.Run(name+"-"+leg.suffix, func(b *testing.B) {
-				rec.SetScalarReplay(leg.scalar)
-				defer rec.SetScalarReplay(false)
-				run(b)
-			})
-		}
-	}
-
 	reportNsPerRec := func(b *testing.B, total int64) {
 		reportMIPS(b, total)
 		if total > 0 {
@@ -381,7 +328,7 @@ func BenchmarkBatchKernels(b *testing.B) {
 		}
 	}
 
-	pair("walkonly", func(b *testing.B) {
+	b.Run("walkonly", func(b *testing.B) {
 		var total int64
 		for i := 0; i < b.N; i++ {
 			var ct trace.Counter
@@ -394,7 +341,7 @@ func BenchmarkBatchKernels(b *testing.B) {
 		b.StopTimer()
 		reportNsPerRec(b, total)
 	})
-	pair("profiler", func(b *testing.B) {
+	b.Run("profiler", func(b *testing.B) {
 		var total int64
 		for i := 0; i < b.N; i++ {
 			rec.Replay(profiler.NewCollector())
@@ -403,7 +350,7 @@ func BenchmarkBatchKernels(b *testing.B) {
 		b.StopTimer()
 		reportNsPerRec(b, total)
 	})
-	pair("engine", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		var total int64
 		for i := 0; i < b.N; i++ {
 			table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)

@@ -5,14 +5,20 @@
 # timings came from; the smoke gates read num_cpu from here), "benchmarks"
 # (simulation substrate + experiment drivers), "speedups" (paired
 # baseline-vs-optimized ratios), "trace_storage" (columnar compression byte
-# counts), "batch_kernels" (scalar vs batch replay ns/rec + speedup ratios),
-# "recording" (fused vs scalar-record execute+encode ns/op + speedup),
+# counts), "batch_kernels" (batch-kernel replay ns/rec per consumer),
+# "recording" (recording vs plain execution ns/op + the overhead ratio),
 # "server" (vpserve throughput, requests/sec for cached vs uncached evaluate
 # calls), and "cluster" (vpcoord sharded-sweep throughput at one vs two
 # worker nodes).
 # Usage:
 #
 #   scripts/bench.sh [output.json]
+#
+# Each simulation benchmark runs five times in a process of its own and the
+# report keeps its fastest run — how bench_smoke.sh measures the legs it
+# gates (one benchmark per process, per-leg minimum of five runs), so the
+# committed ratios and the re-measured ones come from one estimator, not
+# from processes whose heaps and GC state differ.
 #
 # Environment:
 #   BENCHTIME          go test -benchtime value (default 1s)
@@ -25,16 +31,30 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_report.json}"
 BENCHTIME="${BENCHTIME:-1s}"
-BENCHMARKS="${BENCHMARKS:-^(BenchmarkVMSteps|BenchmarkVMStepsRecording|BenchmarkVMStepsRecordingScalar|BenchmarkReplayVsReexecute|BenchmarkThresholdSweep|BenchmarkMultiEvalSweep|BenchmarkTraceStore|BenchmarkBatchKernels|BenchmarkAllArtifactsParallel|BenchmarkVMExecution|BenchmarkFigure51And52|BenchmarkTable51|BenchmarkFigure53And54|BenchmarkTable52)\$}"
+BENCHMARKS="${BENCHMARKS:-^(BenchmarkVMSteps|BenchmarkVMStepsRecording|BenchmarkReplayVsReexecute|BenchmarkThresholdSweep|BenchmarkMultiEvalSweep|BenchmarkTraceStore|BenchmarkBatchKernels|BenchmarkAllArtifactsParallel|BenchmarkVMExecution|BenchmarkFigure51And52|BenchmarkTable51|BenchmarkFigure53And54|BenchmarkTable52)\$}"
 SERVER_BENCHMARKS="${SERVER_BENCHMARKS:-^(BenchmarkServerEvaluateCached|BenchmarkServerEvaluateCachedParallel|BenchmarkServerEvaluateUncached)\$}"
 CLUSTER_BENCHMARKS="${CLUSTER_BENCHMARKS:-^BenchmarkClusterSweep\$}"
 
-RAW_SIM="$(mktemp)"
-RAW_SRV="$(mktemp)"
-RAW_CLU="$(mktemp)"
-trap 'rm -f "$RAW_SIM" "$RAW_SRV" "$RAW_CLU"' EXIT
+TMP="$(mktemp -d)"
+RAW_ALL="$TMP/all"
+RAW_SIM="$TMP/sim"
+RAW_SRV="$TMP/srv"
+RAW_CLU="$TMP/clu"
+trap 'rm -rf "$TMP"' EXIT
 
-go test -run '^$' -bench "$BENCHMARKS" -benchmem -benchtime "$BENCHTIME" . | tee "$RAW_SIM"
+go test -c -o "$TMP/repro.test" .
+for name in $("$TMP/repro.test" -test.list "$BENCHMARKS" | grep '^Benchmark'); do
+    "$TMP/repro.test" -test.run '^$' -test.bench "^$name\$" -test.benchmem \
+        -test.benchtime "$BENCHTIME" -test.count 5 | tee -a "$RAW_ALL"
+done
+# Keep each benchmark's fastest run (lowest ns/op), in first-seen order.
+awk '
+/^Benchmark/ {
+    if (!($1 in best)) order[n++] = $1
+    if (!($1 in best) || $3 + 0 < ns[$1] + 0) { best[$1] = $0; ns[$1] = $3 }
+}
+END { for (i = 0; i < n; i++) print best[order[i]] }
+' "$RAW_ALL" > "$RAW_SIM"
 go test -run '^$' -bench "$SERVER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$RAW_SRV"
 go test -run '^$' -bench "$CLUSTER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" ./internal/cluster | tee "$RAW_CLU"
 
@@ -66,12 +86,12 @@ END {
 }
 
 # Summarize the trace-storage footprint from the BenchmarkTraceStore metric
-# columns: bytes/record in memory (AoS struct vs columnar encoding) and on
-# disk (VPTRC01 vs VPTRC02), with the compression ratios bench_smoke.sh
-# gates on. These are deterministic byte counts, not timings, so they are
-# machine-independent.
+# columns: bytes/record in memory (Record struct vs columnar encoding) and on
+# disk (VPTRC01's fixed 40-byte records vs VPTRC02), with the compression
+# ratios bench_smoke.sh gates on. These are deterministic byte counts, not
+# timings, so they are machine-independent.
 emit_trace_storage() {
-    awk '
+    awk -v v1=40 '
 /^BenchmarkTraceStore\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -83,9 +103,8 @@ emit_trace_storage() {
 END {
     aos = mem["BenchmarkTraceStore/walk-aos"]
     col = mem["BenchmarkTraceStore/walk-columnar"]
-    v1 = disk["BenchmarkTraceStore/disk-v1"]
     v2 = disk["BenchmarkTraceStore/disk-v2"]
-    if (aos == "" || col == "" || v1 == "" || v2 == "" || col + 0 == 0 || v2 + 0 == 0) exit
+    if (aos == "" || col == "" || v2 == "" || col + 0 == 0 || v2 + 0 == 0) exit
     printf "    \"mem_bytes_per_record_aos\": %s,\n", aos
     printf "    \"mem_bytes_per_record_columnar\": %s,\n", col
     printf "    \"mem_compression_ratio\": %.3f,\n", aos / col
@@ -97,10 +116,8 @@ END {
 }
 
 # Summarize the batch column-kernel replay path from the BenchmarkBatchKernels
-# ns/rec metrics: scalar (per-record reference) vs batch ns/rec for each
-# consumer pair, plus the walkonly speedup ratio bench_smoke.sh gates on.
-# Both legs of a pair walk the same sealed trace in the same process, so the
-# ratio is machine-independent even though the ns/rec values are not.
+# ns/rec metrics, one figure per consumer (walkonly isolates decode +
+# dispatch).
 emit_batch_kernels() {
     awk '
 /^BenchmarkBatchKernels\// {
@@ -112,31 +129,27 @@ emit_batch_kernels() {
     }
 }
 END {
-    n = split("walkonly profiler engine", pairs, " ")
+    n = split("walkonly profiler engine", legs, " ")
     first = 1
     for (p = 1; p <= n; p++) {
-        s = nsrec[pairs[p] "-scalar"]
-        b = nsrec[pairs[p] "-batch"]
-        if (s == "" || b == "" || b + 0 == 0) continue
+        if (nsrec[legs[p]] == "") continue
         if (!first) printf ",\n"
         first = 0
-        printf "    \"ns_per_rec_%s_scalar\": %s,\n", pairs[p], s
-        printf "    \"ns_per_rec_%s_batch\": %s,\n", pairs[p], b
-        printf "    \"%s_speedup\": %.3f", pairs[p], s / b
+        printf "    \"ns_per_rec_%s\": %s", legs[p], nsrec[legs[p]]
     }
     printf "\n"
 }
 ' "$1"
 }
 
-# Summarize the recording path: the fused execute+encode column path
-# (BenchmarkVMStepsRecording, the default) against the scalar per-record
-# reference (BenchmarkVMStepsRecordingScalar). Both legs execute the same
-# guest on the same machine, so the ns/op ratio is the machine-independent
-# recording speedup bench_smoke.sh gates on.
+# Summarize the recording path: executing the guest into a Recorder
+# (BenchmarkVMStepsRecording) against executing it with no consumer
+# (BenchmarkVMSteps). Both legs run the same guest on the same machine, so
+# the ns/op ratio is the machine-independent recording overhead
+# bench_smoke.sh gates on.
 emit_recording() {
     awk '
-/^BenchmarkVMStepsRecording(Scalar)?(-[0-9]+)?[ \t]/ {
+/^BenchmarkVMSteps(Recording)?(-[0-9]+)?[ \t]/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     ns[name] = $3
@@ -145,16 +158,16 @@ emit_recording() {
     }
 }
 END {
-    fused = ns["BenchmarkVMStepsRecording"]
-    scalar = ns["BenchmarkVMStepsRecordingScalar"]
-    if (fused == "" || scalar == "" || fused + 0 == 0) exit
-    printf "    \"ns_per_op_fused\": %s,\n", fused
-    printf "    \"ns_per_op_scalar\": %s,\n", scalar
+    rec = ns["BenchmarkVMStepsRecording"]
+    plain = ns["BenchmarkVMSteps"]
+    if (rec == "" || plain == "" || plain + 0 == 0) exit
+    printf "    \"ns_per_op_plain\": %s,\n", plain
+    printf "    \"ns_per_op_recording\": %s,\n", rec
+    if (minstr["BenchmarkVMSteps"] != "")
+        printf "    \"minstr_per_s_plain\": %s,\n", minstr["BenchmarkVMSteps"]
     if (minstr["BenchmarkVMStepsRecording"] != "")
-        printf "    \"minstr_per_s_fused\": %s,\n", minstr["BenchmarkVMStepsRecording"]
-    if (minstr["BenchmarkVMStepsRecordingScalar"] != "")
-        printf "    \"minstr_per_s_scalar\": %s,\n", minstr["BenchmarkVMStepsRecordingScalar"]
-    printf "    \"recording_speedup\": %.3f\n", scalar / fused
+        printf "    \"minstr_per_s_recording\": %s,\n", minstr["BenchmarkVMStepsRecording"]
+    printf "    \"recording_overhead\": %.3f\n", rec / plain
 }
 ' "$1"
 }
@@ -221,7 +234,7 @@ END {
 
 {
     echo "{"
-    echo "  \"schema\": \"bench-report/v7\","
+    echo "  \"schema\": \"bench-report/v8\","
     echo "  \"machine\": {"
     emit_machine
     echo "  },"

@@ -1,30 +1,26 @@
 #!/usr/bin/env bash
-# CI bench smoke for the replay substrate. Five benchmark runs, seven gates:
+# CI bench smoke for the replay substrate. Four benchmark runs, six gates:
 #
 #   1. Single-pass sweep: BenchmarkMultiEvalSweep's multieval-vs-separate
 #      walkonly speedup must not regress more than MAX_REGRESSION_PCT versus
 #      the committed BENCH_report.json.
 #   2. Trace-storage compression (machine-independent byte counts, not
 #      timings): the columnar encoding must hold ≥3x fewer in-memory
-#      bytes/record than the AoS Record buffer, and VPTRC02 must hold ≥2x
-#      fewer on-disk bytes/record than VPTRC01.
+#      bytes/record than the Record struct, and VPTRC02 must hold ≥2x fewer
+#      on-disk bytes/record than VPTRC01's fixed 40-byte records.
 #   3. Walkonly columnar replay: the walk-columnar/walk-aos throughput ratio
-#      must not regress versus the committed report; on machines with enough
-#      CPUs for the full decode-ahead pipeline (≥7, giving the replay six
-#      decode lanes) the ratio must additionally be within
-#      MAX_WALK_GAP_PCT of the resident-AoS baseline outright.
+#      (walk-aos walks a plain []Record) must not regress versus the
+#      committed report; on machines with enough CPUs for the full
+#      decode-ahead pipeline (≥7, giving the replay six decode lanes) the
+#      ratio must additionally be within MAX_WALK_GAP_PCT of the []Record
+#      baseline outright.
 #   4. Spill-mode replay: the walk-spill overhead over resident walk-columnar
 #      must not regress versus the committed report.
-#   5. Batch column kernels: BenchmarkBatchKernels' walkonly scalar/batch
-#      ns/rec ratio must stay ≥ MIN_BATCH_SPEEDUP outright (the PR-level
-#      acceptance bar) and must not regress more than MAX_REGRESSION_PCT
-#      versus the committed report's walkonly_speedup.
-#   6. Fused recording: the BenchmarkVMStepsRecordingScalar-vs-
-#      BenchmarkVMStepsRecording ns/op ratio (scalar reference over the fused
-#      execute+encode column path) must stay ≥ MIN_RECORD_SPEEDUP outright
-#      and must not regress more than MAX_REGRESSION_PCT versus the committed
-#      report's recording_speedup.
-#   7. Experiment-driver allocations: BenchmarkFigure51And52's allocs/op —
+#   5. Recording overhead: the BenchmarkVMStepsRecording-over-BenchmarkVMSteps
+#      ns/op ratio (executing into a Recorder versus executing with no
+#      consumer) must not grow more than MAX_REGRESSION_PCT versus the
+#      committed report's recording_overhead.
+#   6. Experiment-driver allocations: BenchmarkFigure51And52's allocs/op —
 #      a deterministic count, not a timing — must not exceed the committed
 #      report's value by more than MAX_ALLOC_GROWTH_PCT.
 #
@@ -44,12 +40,8 @@
 #                      noise-robust estimator on shared CI machines, where a
 #                      single interval can be off by ±35% from CPU steal
 #   MAX_REGRESSION_PCT allowed ratio loss in percent (default 20)
-#   MAX_WALK_GAP_PCT   allowed walkonly columnar-vs-AoS gap on machines with
-#                      a full decode-ahead pipeline (default 5)
-#   MIN_BATCH_SPEEDUP  absolute floor for the batch-kernel walkonly
-#                      scalar/batch ratio (default 2.0)
-#   MIN_RECORD_SPEEDUP absolute floor for the scalar/fused recording ns/op
-#                      ratio (default 1.6, the record-path acceptance bar)
+#   MAX_WALK_GAP_PCT   allowed walkonly columnar-vs-[]Record gap on machines
+#                      with a full decode-ahead pipeline (default 5)
 #   MAX_ALLOC_GROWTH_PCT allowed allocs/op growth for BenchmarkFigure51And52
 #                      versus the committed report (default 10)
 set -euo pipefail
@@ -60,8 +52,6 @@ BENCHTIME="${BENCHTIME:-1s}"
 BENCHCOUNT="${BENCHCOUNT:-5}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-20}"
 MAX_WALK_GAP_PCT="${MAX_WALK_GAP_PCT:-5}"
-MIN_BATCH_SPEEDUP="${MIN_BATCH_SPEEDUP:-2.0}"
-MIN_RECORD_SPEEDUP="${MIN_RECORD_SPEEDUP:-1.6}"
 MAX_ALLOC_GROWTH_PCT="${MAX_ALLOC_GROWTH_PCT:-10}"
 
 committed_speedup() {
@@ -72,10 +62,9 @@ committed_speedup() {
 committed_multi=$(committed_speedup walkonly-separate walkonly-multieval)
 committed_walk=$(committed_speedup walk-aos walk-columnar)
 committed_spill=$(committed_speedup walk-spill walk-columnar)
-committed_batch=$(grep -o '"walkonly_speedup": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
-committed_record=$(grep -o '"recording_speedup": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
+committed_record=$(grep -o '"recording_overhead": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
 committed_allocs=$(grep -o '"name": "BenchmarkFigure51And52"[^}]*' "$REPORT" | grep -o '"allocs/op": [0-9]*' | head -1 | awk '{print $NF}')
-if [[ -z "$committed_multi" || -z "$committed_walk" || -z "$committed_spill" || -z "$committed_batch" || -z "$committed_record" || -z "$committed_allocs" ]]; then
+if [[ -z "$committed_multi" || -z "$committed_walk" || -z "$committed_spill" || -z "$committed_record" || -z "$committed_allocs" ]]; then
     echo "bench_smoke: missing committed speedups in $REPORT (run scripts/bench.sh)" >&2
     exit 1
 fi
@@ -90,14 +79,12 @@ fi
 
 RAW_MULTI="$(mktemp)"
 RAW_STORE="$(mktemp)"
-RAW_BATCH="$(mktemp)"
 RAW_REC="$(mktemp)"
 RAW_ALLOC="$(mktemp)"
-trap 'rm -f "$RAW_MULTI" "$RAW_STORE" "$RAW_BATCH" "$RAW_REC" "$RAW_ALLOC"' EXIT
+trap 'rm -f "$RAW_MULTI" "$RAW_STORE" "$RAW_REC" "$RAW_ALLOC"' EXIT
 go test -run '^$' -bench '^BenchmarkMultiEvalSweep/walkonly' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_MULTI"
 go test -run '^$' -bench '^BenchmarkTraceStore$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_STORE"
-go test -run '^$' -bench '^BenchmarkBatchKernels/walkonly' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_BATCH"
-go test -run '^$' -bench '^(BenchmarkVMStepsRecording|BenchmarkVMStepsRecordingScalar)$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_REC"
+go test -run '^$' -bench '^(BenchmarkVMSteps|BenchmarkVMStepsRecording)$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_REC"
 go test -run '^$' -bench '^BenchmarkFigure51And52$' -benchmem -benchtime 2x . | tee "$RAW_ALLOC"
 
 # Gate 1: the pass-merging machinery. The walkonly pair isolates it from
@@ -122,7 +109,7 @@ END {
 
 # Gates 2–4: the columnar trace store.
 awk -v committed_walk="$committed_walk" -v committed_spill="$committed_spill" \
-    -v max="$MAX_REGRESSION_PCT" -v walkgap="$MAX_WALK_GAP_PCT" -v ncpu="$NCPU" '
+    -v max="$MAX_REGRESSION_PCT" -v walkgap="$MAX_WALK_GAP_PCT" -v ncpu="$NCPU" -v v1=40 '
 /^BenchmarkTraceStore\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -143,31 +130,31 @@ END {
 
     # Gate 2: compression ratios (deterministic byte counts).
     if (mem["BenchmarkTraceStore/walk-aos"] + 0 == 0 || mem["BenchmarkTraceStore/walk-columnar"] + 0 == 0 ||
-        disk["BenchmarkTraceStore/disk-v1"] + 0 == 0 || disk["BenchmarkTraceStore/disk-v2"] + 0 == 0) {
+        disk["BenchmarkTraceStore/disk-v2"] + 0 == 0) {
         print "bench_smoke: BenchmarkTraceStore produced no memB/rec or diskB/rec metrics" > "/dev/stderr"
         exit 1
     }
     memratio = mem["BenchmarkTraceStore/walk-aos"] / mem["BenchmarkTraceStore/walk-columnar"]
-    diskratio = disk["BenchmarkTraceStore/disk-v1"] / disk["BenchmarkTraceStore/disk-v2"]
+    diskratio = v1 / disk["BenchmarkTraceStore/disk-v2"]
     printf "bench_smoke: in-memory compression %.2fx (gate >= 3), on-disk %.2fx (gate >= 2)\n", memratio, diskratio
     if (memratio < 3 || diskratio < 2) {
         print "bench_smoke: FAIL — trace-storage compression below the gate" > "/dev/stderr"
         exit 1
     }
 
-    # Gate 3: walkonly columnar throughput vs the resident-AoS baseline.
+    # Gate 3: walkonly columnar throughput vs the plain []Record baseline.
     walk = aos / col
     floor = committed_walk * (1 - max / 100)
-    printf "bench_smoke: walkonly columnar/AoS throughput ratio %.3f (committed %.3f, floor %.3f)\n", walk, committed_walk, floor
+    printf "bench_smoke: walkonly columnar/[]Record throughput ratio %.3f (committed %.3f, floor %.3f)\n", walk, committed_walk, floor
     if (walk < floor) {
         printf "bench_smoke: FAIL — columnar walk regressed more than %s%% vs the committed ratio\n", max > "/dev/stderr"
         exit 1
     }
     if (ncpu + 0 >= 7) {
         target = 1 - walkgap / 100
-        printf "bench_smoke: %d CPUs — full decode-ahead pipeline, gating walkonly within %s%% of AoS\n", ncpu, walkgap
+        printf "bench_smoke: %d CPUs — full decode-ahead pipeline, gating walkonly within %s%% of []Record\n", ncpu, walkgap
         if (walk < target) {
-            printf "bench_smoke: FAIL — walkonly columnar replay %.3fx of AoS, below %.3f\n", walk, target > "/dev/stderr"
+            printf "bench_smoke: FAIL — walkonly columnar replay %.3fx of []Record, below %.3f\n", walk, target > "/dev/stderr"
             exit 1
         }
     } else {
@@ -184,64 +171,28 @@ END {
     }
 }' "$RAW_STORE"
 
-# Gate 5: the batch column kernels. Both legs walk the same sealed trace
-# through a near-free consumer, so the scalar/batch ns/rec ratio isolates
-# decode + dispatch overhead and is machine-independent: it must clear the
-# absolute acceptance bar AND not regress versus the committed report.
-awk -v committed="$committed_batch" -v max="$MAX_REGRESSION_PCT" -v minratio="$MIN_BATCH_SPEEDUP" '
-/^BenchmarkBatchKernels\/walkonly-/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    for (i = 3; i + 1 <= NF; i += 2) {
-        if ($(i + 1) == "ns/rec" && (ns[name] == "" || $i + 0 < ns[name] + 0)) ns[name] = $i
-    }
-}
+# Gate 5: recording overhead. Both legs execute the same guest on the same
+# machine, one into a Recorder and one with no consumer, so the ns/op ratio
+# is the machine-independent cost of producing the replay cache; it must not
+# grow versus the committed report.
+awk -v committed="$committed_record" -v max="$MAX_REGRESSION_PCT" '
+/^BenchmarkVMStepsRecording(-[0-9]+)?[ \t]/ { if (rec == "" || $3 + 0 < rec + 0) rec = $3 }
+/^BenchmarkVMSteps(-[0-9]+)?[ \t]/          { if (plain == "" || $3 + 0 < plain + 0) plain = $3 }
 END {
-    scalar = ns["BenchmarkBatchKernels/walkonly-scalar"]
-    batch = ns["BenchmarkBatchKernels/walkonly-batch"]
-    if (scalar == "" || batch == "" || batch + 0 == 0) {
-        print "bench_smoke: BenchmarkBatchKernels produced no ns/rec numbers" > "/dev/stderr"
-        exit 1
-    }
-    cur = scalar / batch
-    floor = committed * (1 - max / 100)
-    printf "bench_smoke: batch-kernel walkonly speedup %.3fx (committed %.3fx, floor %.3fx, absolute bar %.2fx)\n", cur, committed, floor, minratio
-    if (cur < minratio + 0) {
-        printf "bench_smoke: FAIL — batch walkonly speedup below the %.2fx acceptance bar\n", minratio > "/dev/stderr"
-        exit 1
-    }
-    if (cur < floor) {
-        printf "bench_smoke: FAIL — batch kernels regressed more than %s%% vs the committed ratio\n", max > "/dev/stderr"
-        exit 1
-    }
-}' "$RAW_BATCH"
-
-# Gate 6: the fused recording path. Both legs execute the same guest into the
-# same Recorder shape; the scalar/fused ns/op ratio isolates the record-path
-# overhaul's win and must clear the absolute acceptance bar AND not regress
-# versus the committed report.
-awk -v committed="$committed_record" -v max="$MAX_REGRESSION_PCT" -v minratio="$MIN_RECORD_SPEEDUP" '
-/^BenchmarkVMStepsRecording(-[0-9]+)?[ \t]/       { if (fused == "" || $3 + 0 < fused + 0) fused = $3 }
-/^BenchmarkVMStepsRecordingScalar(-[0-9]+)?[ \t]/ { if (scalar == "" || $3 + 0 < scalar + 0) scalar = $3 }
-END {
-    if (fused == "" || scalar == "" || fused + 0 == 0) {
+    if (rec == "" || plain == "" || plain + 0 == 0) {
         print "bench_smoke: recording benchmarks produced no ns/op numbers" > "/dev/stderr"
         exit 1
     }
-    cur = scalar / fused
-    floor = committed * (1 - max / 100)
-    printf "bench_smoke: fused recording speedup %.3fx (committed %.3fx, floor %.3fx, absolute bar %.2fx)\n", cur, committed, floor, minratio
-    if (cur < minratio + 0) {
-        printf "bench_smoke: FAIL — fused recording speedup below the %.2fx acceptance bar\n", minratio > "/dev/stderr"
-        exit 1
-    }
-    if (cur < floor) {
-        printf "bench_smoke: FAIL — fused recording regressed more than %s%% vs the committed ratio\n", max > "/dev/stderr"
+    cur = rec / plain
+    ceiling = committed * (1 + max / 100)
+    printf "bench_smoke: recording overhead %.3fx of plain execution (committed %.3fx, ceiling %.3fx)\n", cur, committed, ceiling
+    if (cur > ceiling) {
+        printf "bench_smoke: FAIL — recording overhead grew more than %s%% vs the committed ratio\n", max > "/dev/stderr"
         exit 1
     }
 }' "$RAW_REC"
 
-# Gate 7: experiment-driver allocations. allocs/op is a deterministic count
+# Gate 6: experiment-driver allocations. allocs/op is a deterministic count
 # (modulo pool warmup on the first iteration), so it compares across machines
 # where timings cannot; growth past the committed value means a pooled or
 # arena'd path started allocating again.
