@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/critpath"
+	"repro/internal/isa"
 	"repro/internal/profiler"
 	"repro/internal/trace"
 )
@@ -63,44 +64,44 @@ func main() {
 
 	var (
 		total, valueProds, loads, stores, branches, taken int64
-		phases                                            = map[int]int64{}
+		phases                                            = map[int64]int64{}
 		col                                               = profiler.NewCollector()
 		cp                                                = critpath.New()
-		dumped                                            int64
+		rec                                               trace.Record
 	)
 	for {
-		var rec trace.Record
-		err := r.Next(&rec)
+		b, err := r.NextBatch()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			fatal(err)
 		}
-		total++
-		if rec.HasDest {
-			valueProds++
-		}
-		info := rec.Op.Info()
-		switch {
-		case info.IsLoad:
-			loads++
-		case info.IsStore:
-			stores++
-		case info.IsBranch:
-			branches++
-			if rec.Taken {
-				taken++
+		for i, f := range b.Flags {
+			if f&trace.FlagHasDest != 0 {
+				valueProds++
 			}
+			switch info := isa.Opcode(b.Op[i]).Info(); {
+			case info.IsLoad:
+				loads++
+			case info.IsStore:
+				stores++
+			case info.IsBranch:
+				branches++
+				if f&trace.FlagTaken != 0 {
+					taken++
+				}
+			}
+			phases[b.Phase[i]]++
 		}
-		phases[rec.Phase]++
 		if *profOut != "" {
-			col.Consume(&rec)
+			col.ConsumeBatch(b)
 		}
 		if *critPath {
-			cp.Consume(&rec)
+			cp.ConsumeBatch(b)
 		}
-		if *dump && dumped < *limit {
+		for i := 0; *dump && i < b.N && total+int64(i) < *limit; i++ {
+			b.Record(i, &rec)
 			dest := "-"
 			if rec.HasDest {
 				dest = fmt.Sprintf("r%d=%d", rec.Dest, rec.Value)
@@ -114,8 +115,8 @@ func main() {
 			}
 			fmt.Printf("%8d  pc=%-6d %-6s dir=%-9s %s%s\n",
 				rec.Seq, rec.Addr, rec.Op, rec.Dir, dest, mem)
-			dumped++
 		}
+		total += int64(b.N)
 	}
 
 	if *stats {

@@ -54,47 +54,51 @@ func New() *Analyzer {
 	return a
 }
 
-// Consume implements trace.Consumer.
-func (a *Analyzer) Consume(r *trace.Record) {
-	n := node{addr: r.Addr, parent: -1}
-	consider := func(producer int64) {
-		if producer < 0 {
-			return
+// ConsumeBatch implements trace.Consumer.
+func (a *Analyzer) ConsumeBatch(b *trace.Batch) {
+	for i, f := range b.Flags {
+		n := node{addr: b.Addr[i], parent: -1}
+		consider := func(producer int64) {
+			if producer < 0 {
+				return
+			}
+			if d := a.nodes[producer].depth; d >= n.depth {
+				n.depth = d
+				n.parent = producer
+			}
 		}
-		if d := a.nodes[producer].depth; d >= n.depth {
-			n.depth = d
-			n.parent = producer
+		// Read bytes: bit7 valid, bit6 FP, bits 0-5 the register.
+		for _, rd := range b.Reads[2*i : 2*i+2] {
+			if rd&0x80 == 0 {
+				continue
+			}
+			if reg := isa.Reg(rd & 0x3f); rd&0x40 != 0 {
+				consider(a.fpDef[reg])
+			} else if reg != isa.RegZero {
+				consider(a.intDef[reg])
+			}
 		}
-	}
-	for _, rd := range r.Reads {
-		if !rd.Valid {
-			continue
+		hasMem := f&trace.FlagHasMem != 0
+		isStore := isa.Opcode(b.Op[i]).Info().IsStore
+		if hasMem && !isStore {
+			if producer, ok := a.memDef[b.MemAddr[i]]; ok {
+				consider(producer)
+			}
 		}
-		if rd.FP {
-			consider(a.fpDef[rd.Reg])
-		} else if rd.Reg != isa.RegZero {
-			consider(a.intDef[rd.Reg])
-		}
-	}
-	isStore := r.Op.Info().IsStore
-	if r.HasMem && !isStore {
-		if producer, ok := a.memDef[r.MemAddr]; ok {
-			consider(producer)
-		}
-	}
-	n.depth++ // this instruction extends its deepest producer chain by one
+		n.depth++ // this instruction extends its deepest producer chain by one
 
-	seq := int64(len(a.nodes))
-	a.nodes = append(a.nodes, n)
-	if r.HasDest {
-		if r.DestFP {
-			a.fpDef[r.Dest] = seq
-		} else if r.Dest != isa.RegZero {
-			a.intDef[r.Dest] = seq
+		seq := int64(len(a.nodes))
+		a.nodes = append(a.nodes, n)
+		if f&trace.FlagHasDest != 0 {
+			if dest := isa.Reg(b.Dest[i]); f&trace.FlagDestFP != 0 {
+				a.fpDef[dest] = seq
+			} else if dest != isa.RegZero {
+				a.intDef[dest] = seq
+			}
 		}
-	}
-	if r.HasMem && isStore {
-		a.memDef[r.MemAddr] = seq
+		if hasMem && isStore {
+			a.memDef[b.MemAddr[i]] = seq
+		}
 	}
 }
 

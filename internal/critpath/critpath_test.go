@@ -16,11 +16,18 @@ func alu(addr int64, dest isa.Reg, srcs ...isa.Reg) trace.Record {
 	return r
 }
 
+// consume feeds r to the analyzer as a one-record batch.
+func (a *Analyzer) consume(r *trace.Record) {
+	s := trace.NewColumnSink(a)
+	s.ColumnStage().AppendRecord(r)
+	s.Close()
+}
+
 func TestSerialChainDepth(t *testing.T) {
 	a := New()
 	for i := 0; i < 50; i++ {
 		r := alu(3, 1, 1) // r1 = f(r1)
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	res := a.Result()
 	if res.Length != 50 {
@@ -38,7 +45,7 @@ func TestIndependentInstructionsDepthOne(t *testing.T) {
 	a := New()
 	for i := 0; i < 40; i++ {
 		r := alu(int64(i), isa.Reg(i%8+1))
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	res := a.Result()
 	if res.Length != 1 {
@@ -55,11 +62,11 @@ func TestTwoChainsPickLonger(t *testing.T) {
 	// addr 200).
 	for i := 0; i < 10; i++ {
 		r := alu(100, 1, 1)
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	for i := 0; i < 30; i++ {
 		r := alu(200, 2, 2)
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	res := a.Result()
 	if res.Length != 30 {
@@ -76,10 +83,10 @@ func TestMemoryEdges(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		st := trace.Record{Addr: 0, Op: isa.OpST, HasMem: true, MemAddr: 5,
 			Reads: [2]trace.RegRead{{Valid: true, Reg: 1}}}
-		a.Consume(&st)
+		a.consume(&st)
 		ld := trace.Record{Addr: 1, Op: isa.OpLD, HasDest: true, Dest: 1,
 			HasMem: true, MemAddr: 5}
-		a.Consume(&ld)
+		a.consume(&ld)
 	}
 	res := a.Result()
 	if res.Length != 40 {
@@ -90,9 +97,9 @@ func TestMemoryEdges(t *testing.T) {
 func TestZeroRegisterIsNotAnEdge(t *testing.T) {
 	a := New()
 	w := alu(0, isa.RegZero) // producer into r0 — must create no edge
-	a.Consume(&w)
+	a.consume(&w)
 	r := alu(1, 1, isa.RegZero)
-	a.Consume(&r)
+	a.consume(&r)
 	res := a.Result()
 	if res.Length != 1 {
 		t.Errorf("length = %d; a read of r0 created a dependence", res.Length)
@@ -112,11 +119,11 @@ func TestPredictability(t *testing.T) {
 	// serial chain through r1.
 	for i := 0; i < 10; i++ {
 		r := alu(7, 1, 1)
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	for i := 0; i < 30; i++ {
 		r := alu(9, 1, 1)
-		a.Consume(&r)
+		a.consume(&r)
 	}
 	res := a.Result()
 	if res.Length != 40 {

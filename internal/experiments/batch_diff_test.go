@@ -8,14 +8,20 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/profiler"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// collectorStats flattens a profiler collector into a deterministic slice
-// for deep comparison (InstStat includes the predictor emulation state, so
-// equality here is exact, not just aggregate).
+// collectorStats flattens a profile into a deterministic slice of its
+// exported statistics, for deep comparison against the reference profiler.
 func collectorStats(fe func(func(*profiler.InstStat))) []profiler.InstStat {
 	var out []profiler.InstStat
-	fe(func(s *profiler.InstStat) { out = append(out, *s) })
+	fe(func(s *profiler.InstStat) {
+		out = append(out, profiler.InstStat{
+			Addr: s.Addr, FP: s.FP, Load: s.Load, Executions: s.Executions,
+			Attempts: s.Attempts, CorrectLast: s.CorrectLast,
+			CorrectStride: s.CorrectStride, NonZeroStrideCorrect: s.NonZeroStrideCorrect,
+		})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -23,13 +29,15 @@ func collectorStats(fe func(func(*profiler.InstStat))) []profiler.InstStat {
 // TestBatchKernelsMatchScalar is the experiments-level batch differential
 // gate: every predictor scheme family (FSM/profile classification,
 // stride/last-value, finite/infinite tables, hybrid), the profiler
-// collectors and the ILP-mixed MultiEval must produce identical results
-// whether the live evaluation stream is fed to them record by record (the
-// oracle) or replayed from a recorded trace through the batch column
-// kernels — resident or spilled.
+// collectors and the classification shadow must produce the results of a
+// per-record reference kernel fed the live evaluation stream record by
+// record, when they instead run as column kernels over the trace replayed
+// from a recorded store — resident or spilled. The ILP machine must agree
+// between live-stream delivery and a MultiEval pass it shares with a
+// directive-patched engine.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	const bench = "compress"
-	recs := liveRecords(t, bench)
+	recs := liveRecords(t, bench, workload.EvaluationInput())
 	batch, spill := recordStores(t, recs)
 	if int64(len(recs)) != batch.Len() || batch.Len() != spill.Len() {
 		t.Fatalf("store lengths differ: oracle=%d batch=%d spill=%d", len(recs), batch.Len(), spill.Len())
@@ -45,7 +53,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	for _, m := range schemeMakers(t) {
 		// Plain replay.
 		es, eb, ep := m.mk(t), m.mk(t), m.mk(t)
-		feed(recs, nil, es)
+		feedEach(recs, nil, engineRef(es))
 		batch.Replay(eb)
 		spill.Replay(ep)
 		if es.Stats() != eb.Stats() || eb.Stats() != ep.Stats() {
@@ -53,7 +61,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		}
 		// Directive-patched replay.
 		ds, db, dp := m.mk(t), m.mk(t), m.mk(t)
-		feed(recs, dirs, ds)
+		feedEach(recs, dirs, engineRef(ds))
 		batch.ReplayDirs(dirs, db)
 		spill.ReplayDirs(dirs, dp)
 		if ds.Stats() != db.Stats() || db.Stats() != dp.Stats() {
@@ -62,8 +70,8 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		// Single-pass multi-configuration evaluation.
 		ms1, ms2 := m.mk(t), m.mk(t)
 		mb1, mb2 := m.mk(t), m.mk(t)
-		feed(recs, nil, ms1)
-		feed(recs, dirs, ms2)
+		feedEach(recs, nil, engineRef(ms1))
+		feedEach(recs, dirs, engineRef(ms2))
 		batch.MultiEval(trace.EvalConfig{Consumer: mb1}, trace.EvalConfig{Dirs: dirs, Consumer: mb2})
 		if ms1.Stats() != mb1.Stats() || ms2.Stats() != mb2.Stats() {
 			t.Errorf("%s/MultiEval: stats diverge between scalar and batch paths", m.name)
@@ -71,29 +79,35 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	}
 
 	// Profiler collectors, register and store-value.
-	cs, cb := profiler.NewCollector(), profiler.NewCollector()
-	feed(recs, nil, cs)
+	var rs, ss profileRef
+	ss.stores = true
+	feedEach(recs, nil, rs.consume)
+	feedEach(recs, nil, ss.consume)
+	cb, sb := profiler.NewCollector(), profiler.NewStoreCollector()
 	batch.Replay(cb)
-	if !reflect.DeepEqual(collectorStats(cs.ForEach), collectorStats(cb.ForEach)) {
-		t.Error("profiler.Collector: batch kernel diverges from scalar")
-	}
-	ss, sb := profiler.NewStoreCollector(), profiler.NewStoreCollector()
-	feed(recs, nil, ss)
 	spill.Replay(sb)
-	if !reflect.DeepEqual(collectorStats(ss.ForEach), collectorStats(sb.ForEach)) {
-		t.Error("profiler.StoreCollector: batch kernel diverges from scalar")
+	if !reflect.DeepEqual(rs.stats(), collectorStats(cb.ForEach)) {
+		t.Error("profiler.Collector: batch kernel diverges from the reference profiler")
+	}
+	if !reflect.DeepEqual(ss.stats(), collectorStats(sb.ForEach)) {
+		t.Error("profiler.StoreCollector: batch kernel diverges from the reference profiler")
 	}
 
 	// Classification shadow (infinite stride table).
 	ps, pb := newProfileShadow(), newProfileShadow()
-	feed(recs, dirs, ps)
+	feedEach(recs, dirs, func(r *trace.Record) {
+		if r.HasDest {
+			ps.observe(r.Addr, r.Dir, r.Value)
+		}
+	})
 	batch.ReplayDirs(dirs, pb)
 	if ps.stats != pb.stats {
 		t.Errorf("profileShadow: scalar %+v, batch %+v", ps.stats, pb.stats)
 	}
 
-	// ILP-mixed MultiEval: the timing machine stays a scalar consumer and
-	// shares the pass with batch-kernel engines (the vpserve sweep shape).
+	// ILP-mixed MultiEval: the timing machine shares the pass with a
+	// directive-patched engine (the vpserve sweep shape) and must still see
+	// the plain recorded stream.
 	mkILP := func() *ilp.Machine {
 		m, err := ilp.New(ilp.DefaultConfig, nil)
 		if err != nil {
@@ -104,10 +118,10 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	is, ib := mkILP(), mkILP()
 	egs, egb := schemeMakers(t)[0].mk(t), schemeMakers(t)[0].mk(t)
 	feed(recs, nil, is)
-	feed(recs, dirs, egs)
+	feedEach(recs, dirs, engineRef(egs))
 	batch.MultiEval(trace.EvalConfig{Consumer: ib}, trace.EvalConfig{Dirs: dirs, Consumer: egb})
 	if is.Result() != ib.Result() {
-		t.Errorf("ILP mixed MultiEval: scalar %+v, batch %+v", is.Result(), ib.Result())
+		t.Errorf("ILP mixed MultiEval: live %+v, replayed %+v", is.Result(), ib.Result())
 	}
 	if egs.Stats() != egb.Stats() {
 		t.Errorf("engine in ILP-mixed MultiEval: scalar %+v, batch %+v", egs.Stats(), egb.Stats())

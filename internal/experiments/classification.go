@@ -28,16 +28,8 @@ func newProfileShadow() *profileShadow {
 	return &profileShadow{table: predictor.NewInfinite(predictor.Stride)}
 }
 
-// Consume implements trace.Consumer.
-func (p *profileShadow) Consume(r *trace.Record) {
-	if !r.HasDest {
-		return
-	}
-	p.observe(r.Addr, r.Dir, r.Value)
-}
-
-// ConsumeBatch implements trace.BatchConsumer: the column form of Consume,
-// skipping valueless records with one flag test per record.
+// ConsumeBatch implements trace.Consumer, skipping valueless records with
+// one flag test per record.
 func (p *profileShadow) ConsumeBatch(b *trace.Batch) {
 	flags, addrs, dirs, vals := b.Flags, b.Addr, b.Dir, b.Value
 	for i, f := range flags {

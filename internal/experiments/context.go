@@ -39,9 +39,9 @@ const DefaultTrainInputs = 5
 // memoized values are published through the Once (a happens-before edge) and
 // are immutable afterwards: profile images are never written after
 // construction, annotated programs are fresh clones, and trace recorders are
-// Sealed before they are cached, so a latent Consume on a shared recorder
-// panics instead of racing. Replay hands records to consumers by pointer
-// into the shared buffer under a strict read-only contract; the -race stress
+// Sealed before they are cached, so a latent ConsumeBatch on a shared
+// recorder panics instead of racing. Replay hands batches to consumers
+// under a strict read-only contract; the -race stress
 // test in context_race_test.go drives every memoized path from many
 // goroutines to prove the contract holds end to end.
 type Context struct {
@@ -162,7 +162,7 @@ func (c *Context) EvalTrace(bench string) (*trace.Recorder, error) {
 			return nil, fmt.Errorf("experiments: record %s evaluation trace: %w", bench, err)
 		}
 		// Seal before publication: the recorder is shared by every
-		// replaying goroutine from here on, and a stray Consume must
+		// replaying goroutine from here on, and a stray ConsumeBatch must
 		// panic rather than race.
 		rec.Seal()
 		return rec, nil

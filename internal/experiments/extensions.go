@@ -243,19 +243,10 @@ type ExtFCMRow struct {
 	FCMOnly float64
 }
 
-// fcmObserver trains an FCM predictor on every produced value; it
-// implements both consumer contracts so the evaluation replay runs it as a
-// column kernel.
+// fcmObserver trains an FCM predictor on every produced value.
 type fcmObserver struct{ fcm *predictor.FCM }
 
-// Consume implements trace.Consumer.
-func (o fcmObserver) Consume(r *trace.Record) {
-	if r.HasDest {
-		o.fcm.Observe(r.Addr, r.Value)
-	}
-}
-
-// ConsumeBatch implements trace.BatchConsumer.
+// ConsumeBatch implements trace.Consumer.
 func (o fcmObserver) ConsumeBatch(b *trace.Batch) {
 	flags, addrs, vals := b.Flags, b.Addr, b.Value
 	for i, f := range flags {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -10,51 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the end-to-end record-path differential suite: the fused
-// execute+encode column path (the VM writing straight into staging columns,
-// chunk encoding at flush) must produce traces byte-identical to the oracle,
-// the VM's per-record step loop, for every benchmark in the registry.
-
-// recordFile runs bench's evaluation input once with a trace-file Writer as
-// the sole consumer — the vprun -trace shape — and returns the file bytes.
-// oracle hides the writer's column stage, so the VM takes its per-record
-// step loop; otherwise it records through the fused column stage.
-func recordFile(t *testing.T, bench string, oracle bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sink trace.Consumer = tw
-	if oracle {
-		sink = consumerOnly{tw}
-	}
-	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFusedTraceFilesMatchScalarRecord byte-diffs fused trace files against
-// files written from the per-record step loop, across the full workload
-// registry. Short mode keeps one benchmark.
-func TestFusedTraceFilesMatchScalarRecord(t *testing.T) {
-	benches := workload.AllNames()
-	if testing.Short() {
-		benches = benches[:1]
-	}
-	for _, bench := range benches {
-		fused, oracle := recordFile(t, bench, false), recordFile(t, bench, true)
-		if !bytes.Equal(fused, oracle) {
-			t.Errorf("%s: fused trace file differs from the step-loop oracle (%d vs %d bytes)",
-				bench, len(fused), len(oracle))
-		}
-	}
-}
+// This file checks the live recording paths against the oracle stream: a
+// Recorder fed by the VM's fused column loop, and a profiler collector fed
+// through the fused loop's ColumnSink. (The fused loop itself is byte-diffed
+// against the VM's reference step loop, across the whole registry, in
+// package vm.)
 
 // recordLive records bench's evaluation stream into a Recorder that is the
 // VM's sole consumer, so the fused column path engages.
@@ -72,12 +31,12 @@ func recordLive(t *testing.T, bench string, budget int64) *trace.Recorder {
 
 // TestFusedRecorderMatchesScalarRecordLive records a benchmark through the
 // fused path (resident and fully spilled) and requires both to replay
-// exactly the step-loop oracle stream, with the same encoded size as a
-// Recorder fed that stream record by record. Workload execution is
+// exactly the oracle stream, with the same encoded size as a Recorder fed
+// that stream in staged batches. Workload execution is
 // deterministic in (bench, input), so every run observes the same stream.
 func TestFusedRecorderMatchesScalarRecordLive(t *testing.T) {
 	const bench = "compress"
-	recs := liveRecords(t, bench)
+	recs := liveRecords(t, bench, workload.EvaluationInput())
 	fused := recordLive(t, bench, 0)
 	spill := recordLive(t, bench, 1)
 	if spill.SpilledChunks() == 0 {
@@ -92,26 +51,26 @@ func TestFusedRecorderMatchesScalarRecordLive(t *testing.T) {
 		var got capture
 		rc.Replay(&got)
 		if !reflect.DeepEqual(recs, got.recs) {
-			t.Errorf("%s recorder replays a different stream than the step-loop oracle", name)
+			t.Errorf("%s recorder replays a different stream than the oracle", name)
 		}
 	}
 }
 
-// TestFusedCollectorMatchesScalar checks the live-run ColumnSink adaptation:
-// a profiler collector fed by the fused VM loop (batches staged in columns)
-// must end up in exactly the state per-record delivery produces — the
-// profile phase's correctness gate for fused recording.
+// TestFusedCollectorMatchesScalar checks the live-run ColumnSink
+// adaptation: a profiler collector fed by the fused VM loop (batches staged
+// in columns) must end up with exactly the profile the per-record reference
+// profiler computes from the same stream — the profile phase's correctness
+// gate for fused recording.
 func TestFusedCollectorMatchesScalar(t *testing.T) {
 	const bench = "compress"
 	in := workload.TrainingInputs(1)[0]
-	fused, scalar := profiler.NewCollector(), profiler.NewCollector()
+	fused := profiler.NewCollector()
 	if _, err := workload.BuildAndRun(bench, in, fused); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.BuildAndRun(bench, in, consumerOnly{scalar}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collectorStats(fused.ForEach), collectorStats(scalar.ForEach)) {
-		t.Error("fused-fed profiler.Collector diverges from scalar delivery")
+	var ref profileRef
+	feedEach(liveRecords(t, bench, in), nil, ref.consume)
+	if !reflect.DeepEqual(collectorStats(fused.ForEach), ref.stats()) {
+		t.Error("fused-fed profiler.Collector diverges from the reference profiler")
 	}
 }

@@ -69,11 +69,6 @@ func finalState(t *testing.T, p *program.Program, consumers ...trace.Consumer) a
 	return st
 }
 
-// capture records every consumed record by value.
-type capture struct{ recs []trace.Record }
-
-func (c *capture) Consume(r *trace.Record) { c.recs = append(c.recs, *r) }
-
 func sameRecords(t *testing.T, live, replay []trace.Record) {
 	t.Helper()
 	if len(live) != len(replay) {

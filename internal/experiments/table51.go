@@ -29,22 +29,10 @@ type Table51 struct {
 
 // candidateCounter tallies value-producing instructions and those carrying
 // a directive (the classifier's admitted candidates) for one threshold of
-// the Table 5.1 sweep. It implements both consumer contracts so the
-// single-pass MultiEval sweep runs it as a column kernel.
+// the Table 5.1 sweep.
 type candidateCounter struct{ candidates, valueInsts int64 }
 
-// Consume implements trace.Consumer.
-func (ct *candidateCounter) Consume(r *trace.Record) {
-	if !r.HasDest {
-		return
-	}
-	ct.valueInsts++
-	if r.Dir != isa.DirNone {
-		ct.candidates++
-	}
-}
-
-// ConsumeBatch implements trace.BatchConsumer.
+// ConsumeBatch implements trace.Consumer.
 func (ct *candidateCounter) ConsumeBatch(b *trace.Batch) {
 	flags, dirs := b.Flags, b.Dir
 	var vi, cand int64

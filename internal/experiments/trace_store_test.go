@@ -8,6 +8,7 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/vpsim"
+	"repro/internal/workload"
 )
 
 type engineMaker struct {
@@ -60,12 +61,12 @@ func schemeMakers(t *testing.T) []engineMaker {
 }
 
 // TestSchemesAoSColumnarSpilled proves every predictor scheme observes the
-// oracle stream (the live run as a plain []Record, fed record by record)
+// oracle stream (the live run kept as a plain []Record, fed in staged batches)
 // from the resident and spilled columnar stores, through Replay, ReplayDirs
 // and MultiEval alike, and that the ILP timing model agrees too.
 func TestSchemesAoSColumnarSpilled(t *testing.T) {
 	const bench = "compress"
-	aos := liveRecords(t, bench)
+	aos := liveRecords(t, bench, workload.EvaluationInput())
 	col, spill := recordStores(t, aos)
 	if int64(len(aos)) != col.Len() || col.Len() != spill.Len() {
 		t.Fatalf("store lengths differ: aos=%d col=%d spill=%d", len(aos), col.Len(), spill.Len())

@@ -37,9 +37,9 @@ func TestPredictableBranchesCostNothing(t *testing.T) {
 	feed := func(m *Machine) Result {
 		for i := 0; i < 2000; i++ {
 			r := alu(0, isa.Reg(i%8+1), int64(i))
-			m.Consume(&r)
+			m.consume(&r)
 			br := branchRec(1, true) // always taken: trivially learnable
-			m.Consume(&br)
+			m.consume(&br)
 		}
 		return m.Result()
 	}
@@ -66,9 +66,9 @@ func TestMispredictedBranchesStallFetch(t *testing.T) {
 	feed := func(m *Machine) Result {
 		for i := 0; i < 2000; i++ {
 			r := alu(0, isa.Reg(i%8+1), int64(i))
-			m.Consume(&r)
+			m.consume(&r)
 			br := branchRec(1, i%2 == 0)
-			m.Consume(&br)
+			m.consume(&br)
 		}
 		return m.Result()
 	}

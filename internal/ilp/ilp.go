@@ -59,7 +59,7 @@ func (c Config) Validate() error {
 
 // Machine is one ILP measurement over a dynamic instruction stream. It
 // implements trace.Consumer; feed it a trace (directly from the functional
-// simulator or from a trace file) and read Result afterwards.
+// simulator, a replay or a trace file) and read Result afterwards.
 type Machine struct {
 	cfg Config
 	// engine supplies value predictions; nil measures the no-value-
@@ -127,98 +127,105 @@ func New(cfg Config, engine *vpsim.Engine) (*Machine, error) {
 	}, nil
 }
 
-// Consume implements trace.Consumer: it schedules one dynamic instruction.
-func (m *Machine) Consume(r *trace.Record) {
-	// Window constraint: entry waits for the retirement of the
-	// instruction WindowSize back. Fetch/dispatch bandwidth is otherwise
-	// unlimited and branches never stall it (perfect branch prediction).
-	slot := m.count % int64(m.cfg.WindowSize)
-	entry := m.retire[slot]
-	if entry < m.fetchFloor {
-		entry = m.fetchFloor
-	}
+// ConsumeBatch implements trace.Consumer: it schedules each dynamic
+// instruction of the batch in stream order.
+func (m *Machine) ConsumeBatch(b *trace.Batch) {
+	for i, f := range b.Flags {
+		// Window constraint: entry waits for the retirement of the
+		// instruction WindowSize back. Fetch/dispatch bandwidth is
+		// otherwise unlimited and branches never stall it (perfect branch
+		// prediction).
+		slot := m.count % int64(m.cfg.WindowSize)
+		entry := m.retire[slot]
+		if entry < m.fetchFloor {
+			entry = m.fetchFloor
+		}
 
-	// Operand readiness through the register dataflow.
-	issue := entry
-	for _, rd := range r.Reads {
-		if !rd.Valid {
-			continue
-		}
-		var ready int64
-		if rd.FP {
-			ready = m.fpReady[rd.Reg]
-		} else {
-			ready = m.intReady[rd.Reg]
-		}
-		if ready > issue {
-			issue = ready
-		}
-	}
-	isStore := r.Op.Info().IsStore
-	if r.HasMem && !isStore {
-		if ready, ok := m.memReady[r.MemAddr]; ok && ready > issue {
-			issue = ready
-		}
-	}
-	// In-order front end: issue cycles are non-decreasing in program
-	// order and at most IssueWidth instructions share one.
-	if m.cfg.IssueWidth > 0 {
-		if issue < m.lastIssue {
-			issue = m.lastIssue
-		}
-		if issue == m.lastIssue && m.issuedThisCycle >= m.cfg.IssueWidth {
-			issue++
-		}
-		if issue > m.lastIssue {
-			m.lastIssue = issue
-			m.issuedThisCycle = 1
-		} else {
-			m.issuedThisCycle++
-		}
-	}
-	complete := issue + m.cfg.Latency
-	if r.HasMem && isStore {
-		m.memReady[r.MemAddr] = complete
-	}
-
-	// Value prediction: a used-correct prediction makes the destination
-	// available to consumers at window entry, collapsing the dependence;
-	// a used-incorrect one delays consumers by the misprediction penalty
-	// beyond normal completion (re-execution of the consumers).
-	if r.HasDest {
-		destReady := complete
-		if m.engine != nil {
-			switch m.engine.Observe(r.Addr, r.Dir, r.Value) {
-			case vpsim.OutcomeUsedCorrect:
-				destReady = entry
-			case vpsim.OutcomeUsedIncorrect:
-				destReady = complete + m.cfg.MispredictPenalty
+		// Operand readiness through the register dataflow (read bytes:
+		// bit7 valid, bit6 FP, bits 0-5 the register).
+		issue := entry
+		for _, rd := range b.Reads[2*i : 2*i+2] {
+			if rd&0x80 == 0 {
+				continue
+			}
+			var ready int64
+			if rd&0x40 != 0 {
+				ready = m.fpReady[rd&0x3f]
+			} else {
+				ready = m.intReady[rd&0x3f]
+			}
+			if ready > issue {
+				issue = ready
 			}
 		}
-		if r.DestFP {
-			m.fpReady[r.Dest] = destReady
-		} else if r.Dest != isa.RegZero {
-			m.intReady[r.Dest] = destReady
-		}
-	}
-
-	if m.branchPred != nil && r.Op.Info().IsBranch {
-		if correct := m.branchPred.Observe(r.Addr, r.Taken); !correct {
-			if floor := complete + m.branchPenalty; floor > m.fetchFloor {
-				m.fetchFloor = floor
+		info := isa.Opcode(b.Op[i]).Info()
+		hasMem := f&trace.FlagHasMem != 0
+		if hasMem && !info.IsStore {
+			if ready, ok := m.memReady[b.MemAddr[i]]; ok && ready > issue {
+				issue = ready
 			}
 		}
-	}
+		// In-order front end: issue cycles are non-decreasing in program
+		// order and at most IssueWidth instructions share one.
+		if m.cfg.IssueWidth > 0 {
+			if issue < m.lastIssue {
+				issue = m.lastIssue
+			}
+			if issue == m.lastIssue && m.issuedThisCycle >= m.cfg.IssueWidth {
+				issue++
+			}
+			if issue > m.lastIssue {
+				m.lastIssue = issue
+				m.issuedThisCycle = 1
+			} else {
+				m.issuedThisCycle++
+			}
+		}
+		complete := issue + m.cfg.Latency
+		if hasMem && info.IsStore {
+			m.memReady[b.MemAddr[i]] = complete
+		}
 
-	// In-order retirement: an instruction retires no earlier than its
-	// completion and no earlier than its predecessor.
-	ret := complete
-	if ret < m.lastRetire {
-		ret = m.lastRetire
+		// Value prediction: a used-correct prediction makes the
+		// destination available to consumers at window entry, collapsing
+		// the dependence; a used-incorrect one delays consumers by the
+		// misprediction penalty beyond normal completion (re-execution of
+		// the consumers).
+		if f&trace.FlagHasDest != 0 {
+			destReady := complete
+			if m.engine != nil {
+				switch m.engine.Observe(b.Addr[i], b.Dir[i], b.Value[i]) {
+				case vpsim.OutcomeUsedCorrect:
+					destReady = entry
+				case vpsim.OutcomeUsedIncorrect:
+					destReady = complete + m.cfg.MispredictPenalty
+				}
+			}
+			if dest := isa.Reg(b.Dest[i]); f&trace.FlagDestFP != 0 {
+				m.fpReady[dest] = destReady
+			} else if dest != isa.RegZero {
+				m.intReady[dest] = destReady
+			}
+		}
+
+		if m.branchPred != nil && info.IsBranch {
+			if correct := m.branchPred.Observe(b.Addr[i], f&trace.FlagTaken != 0); !correct {
+				if floor := complete + m.branchPenalty; floor > m.fetchFloor {
+					m.fetchFloor = floor
+				}
+			}
+		}
+
+		// In-order retirement: an instruction retires no earlier than its
+		// completion and no earlier than its predecessor.
+		ret := complete
+		if ret < m.lastRetire {
+			ret = m.lastRetire
+		}
+		m.lastRetire = ret
+		m.retire[slot] = ret
+		m.count++
 	}
-	m.lastRetire = ret
-	m.retire[slot] = ret
-	m.count++
 }
 
 // Result reports the measured ILP.

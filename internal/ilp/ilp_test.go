@@ -27,6 +27,13 @@ func alu(addr int64, dest isa.Reg, value int64, srcs ...isa.Reg) trace.Record {
 	return r
 }
 
+// consume feeds r to the machine as a one-record batch.
+func (m *Machine) consume(r *trace.Record) {
+	s := trace.NewColumnSink(m)
+	s.ColumnStage().AppendRecord(r)
+	s.Close()
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig.Validate(); err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func TestIndependentInstructionsReachWindowLimit(t *testing.T) {
 	// 16 instructions, each writing a distinct register, no reads.
 	for i := 0; i < 16; i++ {
 		r := alu(int64(i), isa.Reg(i%8+1), int64(i))
-		m.Consume(&r)
+		m.consume(&r)
 	}
 	res := m.Result()
 	// Window 4: cycles ≈ 16/4 + 1.
@@ -59,17 +66,21 @@ func TestIndependentInstructionsReachWindowLimit(t *testing.T) {
 	}
 }
 
-// TestSerialChainYieldsILPOne: a pure dependence chain executes one
-// instruction per cycle regardless of window size.
+// TestSerialChainYieldsILPOne: a pure dependence chain, through an
+// integer or an FP register, executes one instruction per cycle regardless
+// of window size.
 func TestSerialChainYieldsILPOne(t *testing.T) {
-	m := mustMachine(t, DefaultConfig, nil)
-	for i := 0; i < 100; i++ {
-		r := alu(int64(i%5), 1, int64(i), 1) // r1 = f(r1)
-		m.Consume(&r)
-	}
-	res := m.Result()
-	if got := res.ILP(); got < 0.95 || got > 1.05 {
-		t.Errorf("serial chain ILP = %g, want ≈1", got)
+	for _, fp := range []bool{false, true} {
+		m := mustMachine(t, DefaultConfig, nil)
+		for i := 0; i < 100; i++ {
+			r := alu(int64(i%5), 1, int64(i), 1) // r1 = f(r1), or f1 = f(f1)
+			r.DestFP, r.Reads[0].FP = fp, fp
+			m.consume(&r)
+		}
+		res := m.Result()
+		if got := res.ILP(); got < 0.95 || got > 1.05 {
+			t.Errorf("fp=%v: serial chain ILP = %g, want ≈1", fp, got)
+		}
 	}
 }
 
@@ -83,9 +94,9 @@ func TestValuePredictionCollapsesPredictableChain(t *testing.T) {
 			// r1 += 3 at one static address, plus an independent
 			// filler so the window has other work.
 			r := alu(7, 1, int64(3*i), 1)
-			m.Consume(&r)
+			m.consume(&r)
 			f := alu(8, 2, int64(i))
-			m.Consume(&f)
+			m.consume(&f)
 		}
 		return m.Result()
 	}
@@ -104,9 +115,9 @@ func TestValuePredictionCollapsesPredictableChain(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			r := alu(7, 1, int64(3*i), 1)
 			r.Dir = isa.DirStride
-			m.Consume(&r)
+			m.consume(&r)
 			f := alu(8, 2, int64(i))
-			m.Consume(&f)
+			m.consume(&f)
 		}
 		return m.Result()
 	}
@@ -129,7 +140,7 @@ func TestMispredictionPenaltyHurts(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			r := alu(3, 1, int64(rng>>8), 1)
 			r.Dir = dir
-			m.Consume(&r)
+			m.consume(&r)
 		}
 		return m.Result()
 	}
@@ -150,12 +161,12 @@ func TestStoreLoadDependency(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st := trace.Record{Addr: 0, Op: isa.OpST, HasMem: true, MemAddr: 5,
 			Reads: [2]trace.RegRead{{Valid: true, Reg: 1}}}
-		m.Consume(&st)
+		m.consume(&st)
 		ld := trace.Record{Addr: 1, Op: isa.OpLD, HasDest: true, Dest: 1, Value: int64(i),
 			HasMem: true, MemAddr: 5}
-		m.Consume(&ld)
+		m.consume(&ld)
 		op := alu(2, 1, int64(i), 1)
-		m.Consume(&op)
+		m.consume(&op)
 	}
 	res := m.Result()
 	// Chain: st → ld → alu → st … = 3 cycles per 3 instructions.
@@ -169,7 +180,7 @@ func TestLoadsFromUntouchedAddressesAreFree(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ld := trace.Record{Addr: int64(i % 7), Op: isa.OpLD, HasDest: true,
 			Dest: isa.Reg(i%8 + 1), Value: 1, HasMem: true, MemAddr: int64(1000 + i)}
-		m.Consume(&ld)
+		m.consume(&ld)
 	}
 	res := m.Result()
 	if got := res.ILP(); got < 20 {
@@ -187,9 +198,9 @@ func TestWindowLimitsDistantParallelism(t *testing.T) {
 			// Serial pair chains: each pair depends on the previous
 			// pair through r1, giving the window something to hide.
 			r1 := alu(0, 1, int64(i), 1)
-			m.Consume(&r1)
+			m.consume(&r1)
 			r2 := alu(1, isa.Reg(i%8+2), int64(i))
-			m.Consume(&r2)
+			m.consume(&r2)
 		}
 		return m.Result()
 	}
@@ -220,9 +231,9 @@ func TestZeroRegisterNeverTracked(t *testing.T) {
 	// A "write" to r0 (HasDest=false in real traces, but simulate a
 	// record that claims r0) must not create dependencies.
 	w := trace.Record{Addr: 0, Op: isa.OpADD, HasDest: true, Dest: isa.RegZero, Value: 9}
-	m.Consume(&w)
+	m.consume(&w)
 	rd := alu(1, 2, 1, isa.RegZero)
-	m.Consume(&rd)
+	m.consume(&rd)
 	res := m.Result()
 	if res.Cycles > 2 {
 		t.Errorf("zero-register dependency created: %d cycles", res.Cycles)

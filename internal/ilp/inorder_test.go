@@ -28,7 +28,7 @@ func TestInOrderWidthCapsIPC(t *testing.T) {
 		m := mustMachine(t, inOrderCfg(w), nil)
 		for i := 0; i < 4000; i++ {
 			r := alu(int64(i%13), isa.Reg(i%8+1), int64(i))
-			m.Consume(&r)
+			m.consume(&r)
 		}
 		got := m.Result().ILP()
 		if got < float64(w)*0.95 || got > float64(w)*1.05 {
@@ -44,9 +44,9 @@ func TestInOrderStallBlocksYounger(t *testing.T) {
 	feed := func(m *Machine) Result {
 		for i := 0; i < 3000; i++ {
 			chain := alu(1, 1, int64(i), 1) // serial on r1
-			m.Consume(&chain)
+			m.consume(&chain)
 			indep := alu(2, isa.Reg(i%8+2), int64(i))
-			m.Consume(&indep)
+			m.consume(&indep)
 		}
 		return m.Result()
 	}
@@ -77,10 +77,10 @@ func TestValuePredictionUnblocksInOrderPipeline(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			chain := alu(1, 1, int64(7*i), 1) // stride 7: predictable
 			chain.Dir = dir
-			m.Consume(&chain)
+			m.consume(&chain)
 			for j := 0; j < 3; j++ {
 				indep := alu(int64(2+j), isa.Reg(j+2), int64(i))
-				m.Consume(&indep)
+				m.consume(&indep)
 			}
 		}
 		return m.Result()
@@ -105,13 +105,13 @@ func TestStaticOrderMattersInOrder(t *testing.T) {
 			indep1 := alu(2, 3, int64(i))
 			indep2 := alu(3, 4, int64(i), 3)
 			if chainFirst {
-				m.Consume(&chain)
-				m.Consume(&indep1)
-				m.Consume(&indep2)
+				m.consume(&chain)
+				m.consume(&indep1)
+				m.consume(&indep2)
 			} else {
-				m.Consume(&indep1)
-				m.Consume(&chain)
-				m.Consume(&indep2)
+				m.consume(&indep1)
+				m.consume(&chain)
+				m.consume(&indep2)
 			}
 		}
 		return m.Result()

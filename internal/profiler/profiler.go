@@ -164,7 +164,7 @@ func (ss *statSet) forEach(f func(*InstStat)) {
 // Collector is a trace consumer that builds per-instruction profiles.
 //
 // Pointers returned by Stat (and passed to ForEach) are invalidated by
-// further Consume calls: the backing storage is a dense slice that may grow.
+// further ConsumeBatch calls: the backing storage is a dense slice that may grow.
 type Collector struct {
 	set statSet
 }
@@ -174,25 +174,10 @@ func NewCollector() *Collector {
 	return &Collector{}
 }
 
-// Consume implements trace.Consumer.
-func (c *Collector) Consume(r *trace.Record) {
-	if !r.HasDest {
-		return
-	}
-	addr := r.Addr
-	s := c.set.slot(addr)
-	if s.Executions == 0 {
-		info := r.Op.Info()
-		s.Addr, s.FP, s.Load = addr, info.IsFP, info.IsLoad
-		c.set.count++
-	}
-	s.observe(r.Value, r.Phase)
-}
-
-// ConsumeBatch implements trace.BatchConsumer: the column form of Consume,
-// one tight loop over the flags/addr/value/phase columns with no per-record
-// dispatch or Record materialization. Bit-identical to the scalar path
-// (TestBatchKernelsMatchScalar in internal/experiments).
+// ConsumeBatch implements trace.Consumer: one tight loop over the
+// flags/addr/value/phase columns with no per-record dispatch or Record
+// materialization. TestFusedCollectorMatchesScalar in internal/experiments
+// checks it against a per-record reference profiler.
 func (c *Collector) ConsumeBatch(b *trace.Batch) {
 	flags, addrs, vals, phases, ops := b.Flags, b.Addr, b.Value, b.Phase, b.Op
 	for i, f := range flags {

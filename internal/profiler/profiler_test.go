@@ -10,9 +10,16 @@ import (
 
 // feed pushes a value sequence for one static instruction through a
 // collector.
+// consume feeds r to the collector as a one-record batch.
+func (c *Collector) consume(r *trace.Record) {
+	s := trace.NewColumnSink(c)
+	s.ColumnStage().AppendRecord(r)
+	s.Close()
+}
+
 func feed(c *Collector, addr int64, op isa.Opcode, phase int, values ...int64) {
 	for _, v := range values {
-		c.Consume(&trace.Record{
+		c.consume(&trace.Record{
 			Addr: addr, Op: op, HasDest: true, Dest: 1, Value: v, Phase: phase,
 		})
 	}
@@ -94,8 +101,8 @@ func TestCollectorPhaseSplit(t *testing.T) {
 
 func TestCollectorIgnoresNonValueRecords(t *testing.T) {
 	c := NewCollector()
-	c.Consume(&trace.Record{Addr: 1, Op: isa.OpBEQ})
-	c.Consume(&trace.Record{Addr: 2, Op: isa.OpST})
+	c.consume(&trace.Record{Addr: 1, Op: isa.OpBEQ})
+	c.consume(&trace.Record{Addr: 2, Op: isa.OpST})
 	if c.NumInstructions() != 0 {
 		t.Error("non-value-producing records collected")
 	}

@@ -20,25 +20,10 @@ func NewStoreCollector() *StoreCollector {
 	return &StoreCollector{}
 }
 
-// Consume implements trace.Consumer: it observes the value stream of store
-// instructions (the simulator records the stored value on store records).
-func (c *StoreCollector) Consume(r *trace.Record) {
-	info := r.Op.Info()
-	if !info.IsStore || !r.HasMem {
-		return
-	}
-	addr := r.Addr
-	s := c.set.slot(addr)
-	if s.Executions == 0 {
-		s.Addr, s.FP = addr, info.IsFP
-		c.set.count++
-	}
-	s.observe(r.Value, r.Phase)
-}
-
-// ConsumeBatch implements trace.BatchConsumer: the column form of Consume.
-// The memory-access flag is tested before the opcode-info lookup so
-// non-memory records cost one byte compare each.
+// ConsumeBatch implements trace.Consumer: it observes the value stream of
+// store instructions (the simulator records the stored value on store
+// records). The memory-access flag is tested before the opcode-info lookup
+// so non-memory records cost one byte compare each.
 func (c *StoreCollector) ConsumeBatch(b *trace.Batch) {
 	flags, addrs, vals, phases, ops := b.Flags, b.Addr, b.Value, b.Phase, b.Op
 	for i, f := range flags {

@@ -7,6 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
+// consume feeds r to the collector as a one-record batch.
+func (c *StoreCollector) consume(r *trace.Record) {
+	s := trace.NewColumnSink(c)
+	s.ColumnStage().AppendRecord(r)
+	s.Close()
+}
+
 func storeRec(addr, memAddr, value int64, op isa.Opcode) *trace.Record {
 	return &trace.Record{Addr: addr, Op: op, HasMem: true, MemAddr: memAddr, Value: value}
 }
@@ -14,7 +21,7 @@ func storeRec(addr, memAddr, value int64, op isa.Opcode) *trace.Record {
 func TestStoreCollectorStrideSequence(t *testing.T) {
 	c := NewStoreCollector()
 	for i := int64(0); i < 5; i++ {
-		c.Consume(storeRec(9, 100+i, 10+3*i, isa.OpST))
+		c.consume(storeRec(9, 100+i, 10+3*i, isa.OpST))
 	}
 	s := c.Stat(9)
 	if s == nil {
@@ -31,8 +38,8 @@ func TestStoreCollectorStrideSequence(t *testing.T) {
 
 func TestStoreCollectorIgnoresNonStores(t *testing.T) {
 	c := NewStoreCollector()
-	c.Consume(&trace.Record{Addr: 1, Op: isa.OpADD, HasDest: true, Value: 5})
-	c.Consume(&trace.Record{Addr: 2, Op: isa.OpLD, HasDest: true, HasMem: true, MemAddr: 3, Value: 5})
+	c.consume(&trace.Record{Addr: 1, Op: isa.OpADD, HasDest: true, Value: 5})
+	c.consume(&trace.Record{Addr: 2, Op: isa.OpLD, HasDest: true, HasMem: true, MemAddr: 3, Value: 5})
 	if c.NumInstructions() != 0 {
 		t.Error("non-store records profiled")
 	}
@@ -40,8 +47,8 @@ func TestStoreCollectorIgnoresNonStores(t *testing.T) {
 
 func TestStoreCollectorFPClass(t *testing.T) {
 	c := NewStoreCollector()
-	c.Consume(storeRec(4, 0, 42, isa.OpFST))
-	c.Consume(storeRec(4, 0, 42, isa.OpFST))
+	c.consume(storeRec(4, 0, 42, isa.OpFST))
+	c.consume(storeRec(4, 0, 42, isa.OpFST))
 	s := c.Stat(4)
 	if !s.FP {
 		t.Error("FP store not classified FP")
@@ -54,7 +61,7 @@ func TestStoreCollectorFPClass(t *testing.T) {
 func TestStoreCollectorImage(t *testing.T) {
 	c := NewStoreCollector()
 	for i := int64(0); i < 4; i++ {
-		c.Consume(storeRec(7, 0, 5, isa.OpST))
+		c.consume(storeRec(7, 0, 5, isa.OpST))
 	}
 	im := c.Image("p", "in")
 	if len(im.Entries) != 1 || im.Entries[0].Addr != 7 {

@@ -462,15 +462,15 @@ func (s *Server) decodeTrace(b []byte) (*trace.Recorder, error) {
 	}
 	rec := trace.NewRecorder()
 	rec.SetMemBudget(s.cfg.TraceMemBudget)
-	var r trace.Record
 	for {
-		if err := tr.Next(&r); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
+		b, err := tr.NextBatch()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
-		rec.Consume(&r)
+		rec.ConsumeBatch(b)
 	}
 	rec.Seal()
 	return rec, nil

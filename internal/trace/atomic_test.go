@@ -18,7 +18,7 @@ func TestCreateFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		fw.Consume(&recs[i])
+		push(fw, &recs[i])
 	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestCreateFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCreateFileAbortLeavesNothing(t *testing.T) {
 	}
 	recs := synthStream(0, 10)
 	for i := range recs {
-		fw.Consume(&recs[i])
+		push(fw, &recs[i])
 	}
 	fw.Abort()
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -85,7 +85,7 @@ func TestCreateFileNeverTornOnOverwrite(t *testing.T) {
 		}
 		recs := synthStream(0, n)
 		for i := range recs {
-			fw.Consume(&recs[i])
+			push(fw, &recs[i])
 		}
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCreateFileNeverTornOnOverwrite(t *testing.T) {
 	}
 	recs := synthStream(0, 100)
 	for i := range recs {
-		fw.Consume(&recs[i])
+		push(fw, &recs[i])
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestCreateFileNeverTornOnOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	f.Close()
 	if err != nil || len(got) != 5 {
 		t.Fatalf("mid-write read: %d records, err=%v; want the intact 5-record original", len(got), err)

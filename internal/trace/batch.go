@@ -7,16 +7,12 @@ import (
 	"repro/internal/isa"
 )
 
-// This file defines the batch (column-at-a-time) replay surface. A
-// BatchConsumer receives each decoded chunk as a Batch — the
-// structure-of-arrays columns of codec.go, decoded once — and runs its own
-// tight loop over the column slices, so the per-record cost collapses to
-// the consumer's real work: no Record materialization, no interface
-// dispatch per record (BenchmarkBatchKernels measures the kernels). Every
-// replay walks batches; consumers that only implement Consumer get records
-// materialized from the batch by Batch.Records, and the differential tests
-// in batch_test.go and internal/experiments prove both deliveries
-// bit-identical to the oracle stream.
+// This file defines the batch (column-at-a-time) surface every consumer
+// receives. A Batch is one chunk of the stream as structure-of-arrays
+// columns — the codec.go layout, decoded once — and each consumer runs its
+// own tight loop over the column slices, so the per-record cost collapses to
+// the consumer's real work: no Record materialization, no interface dispatch
+// per record (BenchmarkBatchKernels measures the kernels).
 
 // Flag bits of the Batch.Flags column, mirroring the boolean fields of
 // Record (codec.go packs them; bits 4-5 carry the recorded directive, which
@@ -67,22 +63,7 @@ type Batch struct {
 	// Seq holds the dynamic sequence number of each record.
 	Seq []int64
 
-	raw  []byte   // spill read scratch; owned by this batch so pipelined reads never alias a batch a consumer still holds
-	recs []Record // the batch materialized as records, for scalar consumers (when the walk asks for it)
-}
-
-// BatchConsumer is a Consumer that can additionally accept whole decoded
-// chunks. Every replay path, the unsealed staging tail and the live fused
-// VM loop (through ColumnSink) deliver batches to it; the embedded scalar
-// Consume still serves producers that emit single records (a fan-out Tee,
-// fault-injected VM runs), so a batch kernel must keep both entry points
-// consistent — the differential tests enforce that bit-for-bit.
-type BatchConsumer interface {
-	Consumer
-	// ConsumeBatch is called once per decoded chunk, in stream order. The
-	// batch and every column it exposes are read-only and valid only for
-	// the duration of the call.
-	ConsumeBatch(b *Batch)
+	raw []byte // spill read scratch; owned by this batch so pipelined reads never alias a batch a consumer still holds
 }
 
 // grow sizes every batch-owned column to n, reallocating only when a
@@ -115,9 +96,8 @@ func (b *Batch) spillBuf(size int) []byte {
 }
 
 // Record materializes record i of the batch into r (including any
-// directive patch applied to the Dir column). The replay walk uses it to
-// serve scalar consumers; batch kernels that need an occasional full record
-// (rather than columns) may use it too.
+// directive patch applied to the Dir column), for tools that print or
+// inspect whole records.
 func (b *Batch) Record(i int, r *Record) {
 	f := b.Flags[i]
 	r.Addr = b.Addr[i]
@@ -135,16 +115,6 @@ func (b *Batch) Record(i int, r *Record) {
 	r.Taken = f&FlagTaken != 0
 	r.HasMem = f&FlagHasMem != 0
 	r.MemAddr = b.MemAddr[i]
-}
-
-// Records materializes the whole batch into out (which must hold N records)
-// and returns the filled prefix.
-func (b *Batch) Records(out []Record) []Record {
-	out = out[:b.N]
-	for i := range out {
-		b.Record(i, &out[i])
-	}
-	return out
 }
 
 // batchPool recycles Batch column sets across replay passes.
@@ -166,7 +136,7 @@ func patchDirs(dst []isa.Directive, addrs []int64, dirs []isa.Directive) {
 	}
 }
 
-// ConsumeBatch implements BatchConsumer for Counter with no per-record
+// ConsumeBatch implements Consumer for Counter with no per-record
 // dispatch: HasDest bits are summed eight flag bytes at a time (mask bit 0
 // of each lane, then one multiply adds the lanes into the top byte).
 func (c *Counter) ConsumeBatch(b *Batch) {

@@ -12,84 +12,47 @@ import (
 	"repro/internal/isa"
 )
 
-// batchCapture records every delivered record through both consumer
-// contracts, materializing batches record by record through Batch.Record —
-// so comparing its stream against the oracle checks every column of every
-// batch, field for field.
-type batchCapture struct {
-	recs    []Record
-	batches int
-	scalars int
-}
-
-func (c *batchCapture) Consume(r *Record) {
-	c.scalars++
-	c.recs = append(c.recs, *r)
-}
-
-func (c *batchCapture) ConsumeBatch(b *Batch) {
-	c.batches++
-	if b.N != len(b.Op) || b.N != len(b.Flags) || b.N != len(b.Dest) || 2*b.N != len(b.Reads) ||
-		b.N != len(b.Dir) || b.N != len(b.Addr) || b.N != len(b.Value) ||
-		b.N != len(b.MemAddr) || b.N != len(b.Phase) || b.N != len(b.Seq) {
-		panic("trace: batch column lengths disagree with N")
-	}
-	var r Record
-	for i := 0; i < b.N; i++ {
-		b.Record(i, &r)
-		c.recs = append(c.recs, r)
-	}
-}
-
 // fillRandom records one random stream into rc and returns it.
 func fillRandom(rng *rand.Rand, n int64, rc *Recorder) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = randomRecord(rng, int64(i))
-		rc.Consume(&recs[i])
+		push(rc, &recs[i])
 	}
 	return recs
 }
 
-// TestBatchMatchesScalarReplay is the core batch differential test: batch
-// and scalar consumers must both receive the oracle stream from Replay and
-// ReplayDirs, across chunk boundaries and with a partial staged tail (which
-// batch consumers receive as a batch over the staging columns).
+// TestBatchMatchesScalarReplay is the core batch differential test: Replay
+// and ReplayDirs must deliver the oracle stream, checked field for field
+// through Batch.Record, across chunk boundaries and with a partial staged
+// tail (delivered as a batch over the staging columns), to one consumer and
+// to several.
 func TestBatchMatchesScalarReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rc := NewRecorder()
 	recs := fillRandom(rng, recorderChunkSize+recorderChunkSize/2, rc)
 
-	var scalar capture
-	rc.Replay(&scalar)
-	got := &batchCapture{}
+	got := &capture{}
 	rc.Replay(got)
-	if got.batches != 2 || got.scalars != 0 {
-		t.Fatalf("batch consumer got %d batches and %d records, want 2 batches (chunk + tail) and 0 records",
-			got.batches, got.scalars)
-	}
-	if !reflect.DeepEqual(recs, scalar.recs) {
-		t.Fatal("scalar Replay differs from the oracle stream")
+	if got.batches != 2 {
+		t.Fatalf("consumer got %d batches, want 2 (chunk + tail)", got.batches)
 	}
 	if !reflect.DeepEqual(recs, got.recs) {
-		t.Fatal("batch Replay differs from the oracle stream")
+		t.Fatal("Replay differs from the oracle stream")
 	}
 
 	dirs := testDirs(rng)
-	wantD := oracleDirs(recs, dirs)
-	var scalarD capture
-	rc.ReplayDirs(dirs, &scalarD)
-	gotD := &batchCapture{}
+	gotD := &capture{}
 	rc.ReplayDirs(dirs, gotD)
-	if !reflect.DeepEqual(wantD, scalarD.recs) || !reflect.DeepEqual(wantD, gotD.recs) {
+	if !reflect.DeepEqual(oracleDirs(recs, dirs), gotD.recs) {
 		t.Fatal("ReplayDirs differs from the oracle stream")
 	}
 
-	// The multi-consumer batch fan-out must match too.
-	gA, gB := &batchCapture{}, &batchCapture{}
+	// The multi-consumer fan-out must match too.
+	gA, gB := &capture{}, &capture{}
 	rc.Replay(gA, gB)
 	if !reflect.DeepEqual(recs, gA.recs) || !reflect.DeepEqual(recs, gB.recs) {
-		t.Fatal("multi-consumer batch Replay differs from the oracle stream")
+		t.Fatal("multi-consumer Replay differs from the oracle stream")
 	}
 }
 
@@ -108,34 +71,28 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 		rc := NewRecorder()
 		rc.SetMemBudget(budget)
 		for i := range recs {
-			rc.Consume(&recs[i])
+			push(rc, &recs[i])
 		}
 		rc.Seal()
 		if budget > 0 && rc.SpilledChunks() == 0 {
 			t.Fatalf("budget %d: nothing spilled", budget)
 		}
 
-		want, wantD := capture{recs}, capture{oracleDirs(recs, dirs)}
-		var scalar capture
-		rc.Replay(&scalar)
-		if !reflect.DeepEqual(want.recs, scalar.recs) {
-			t.Fatalf("budget %d: scalar Replay differs from the oracle", budget)
-		}
-
-		got, gotD := &batchCapture{}, &batchCapture{}
+		want, wantD := capture{recs: recs}, capture{recs: oracleDirs(recs, dirs)}
+		got, gotD := &capture{}, &capture{}
 		rc.Replay(got)
 		rc.ReplayDirs(dirs, gotD)
 		if !reflect.DeepEqual(want.recs, got.recs) {
-			t.Fatalf("budget %d: batch Replay differs from scalar", budget)
+			t.Fatalf("budget %d: Replay differs from the oracle", budget)
 		}
 		if !reflect.DeepEqual(wantD.recs, gotD.recs) {
-			t.Fatalf("budget %d: batch ReplayDirs differs from scalar", budget)
+			t.Fatalf("budget %d: ReplayDirs differs from the oracle", budget)
 		}
 
-		m1, m2 := &batchCapture{}, &batchCapture{}
+		m1, m2 := &capture{}, &capture{}
 		rc.MultiEval(EvalConfig{Consumer: m1}, EvalConfig{Dirs: dirs, Consumer: m2})
 		if !reflect.DeepEqual(want.recs, m1.recs) || !reflect.DeepEqual(wantD.recs, m2.recs) {
-			t.Fatalf("budget %d: batch MultiEval differs from scalar", budget)
+			t.Fatalf("budget %d: MultiEval differs from the oracle", budget)
 		}
 		if err := rc.Close(); err != nil {
 			t.Fatalf("budget %d: Close: %v", budget, err)
@@ -143,49 +100,40 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 	}
 }
 
-// TestBatchMultiEvalMixed drives MultiEval with batch and scalar consumers
-// in the same configuration set (the vpserve sweep shape: vpsim engines are
-// batch kernels, ILP machines scalar): every consumer must still observe
-// exactly its own ReplayDirs/Replay stream.
+// TestBatchMultiEvalMixed drives MultiEval with plain and directive
+// configurations, including a directive table shorter than the text, in one
+// pass (the vpserve sweep shape): every consumer must still observe exactly
+// its own ReplayDirs/Replay stream.
 func TestBatchMultiEvalMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rc := NewRecorder()
 	recs := fillRandom(rng, 2*recorderChunkSize+777, rc)
 	dirs := testDirs(rng)
-	want, wantD, wantShort := capture{recs}, capture{oracleDirs(recs, dirs)}, capture{oracleDirs(recs, dirs[:100])}
 
-	b1, b2 := &batchCapture{}, &batchCapture{}
-	var s1, s2 capture
+	var p1, p2, d1, d2 capture
 	saved := rc.MultiEval(
-		EvalConfig{Consumer: b1},
-		EvalConfig{Consumer: &s1},
-		EvalConfig{Dirs: dirs, Consumer: b2},
-		EvalConfig{Dirs: dirs[:100], Consumer: &s2},
+		EvalConfig{Consumer: &p1},
+		EvalConfig{Dirs: dirs, Consumer: &d1},
+		EvalConfig{Consumer: &p2},
+		EvalConfig{Dirs: dirs[:100], Consumer: &d2},
 	)
 	if saved != 3 {
 		t.Fatalf("MultiEval saved = %d, want 3", saved)
 	}
-	if b1.batches == 0 || b2.batches == 0 {
-		t.Fatal("batch consumers did not run on the batch path")
+	if !reflect.DeepEqual(recs, p1.recs) || !reflect.DeepEqual(recs, p2.recs) {
+		t.Fatal("mixed MultiEval: a plain config differs")
 	}
-	if !reflect.DeepEqual(want.recs, b1.recs) {
-		t.Fatal("mixed MultiEval: plain batch config differs")
+	if !reflect.DeepEqual(oracleDirs(recs, dirs), d1.recs) {
+		t.Fatal("mixed MultiEval: patched config differs")
 	}
-	if !reflect.DeepEqual(want.recs, s1.recs) {
-		t.Fatal("mixed MultiEval: plain scalar config differs")
-	}
-	if !reflect.DeepEqual(wantD.recs, b2.recs) {
-		t.Fatal("mixed MultiEval: patched batch config differs")
-	}
-	if !reflect.DeepEqual(wantShort.recs, s2.recs) {
-		t.Fatal("mixed MultiEval: patched scalar config differs")
+	if !reflect.DeepEqual(oracleDirs(recs, dirs[:100]), d2.recs) {
+		t.Fatal("mixed MultiEval: short-table patched config differs")
 	}
 }
 
 // TestBatchFileRoundTrip proves the batch path over traces that crossed the
 // file formats: streams written as VPTRC01 and VPTRC02 and read back into a
-// fresh Recorder replay identically on the batch and scalar paths, and
-// match the original stream (v1 and v2 preserve all fields; v2 derives Seq
+// fresh Recorder batch by batch replay the original stream (v1 and v2 preserve all fields; v2 derives Seq
 // from position, which these streams satisfy by construction).
 func TestBatchFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -204,41 +152,38 @@ func TestBatchFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		rc := NewRecorder()
-		var r Record
 		for {
-			if err := tr.Next(&r); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
+			b, err := tr.NextBatch()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			rc.Consume(&r)
+			rc.ConsumeBatch(b)
 		}
 		rc.Seal()
-
-		var want capture
-		rc.Replay(&want)
-		if !reflect.DeepEqual(orig, want.recs) {
-			t.Fatalf("%v: scalar replay differs from the original stream", format)
-		}
-		got := &batchCapture{}
+		got := &capture{}
 		rc.Replay(got)
 		if !reflect.DeepEqual(orig, got.recs) {
-			t.Fatalf("%v: batch replay differs from the original stream", format)
+			t.Fatalf("%v: replay differs from the original stream", format)
 		}
 	}
 }
 
-// TestBatchCounterMatchesScalar pins the Counter batch kernel against its
-// per-record Consume over the oracle stream.
+// TestBatchCounterMatchesScalar pins the Counter batch kernel against a
+// per-record count over the oracle stream.
 func TestBatchCounterMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rc := NewRecorder()
 	recs := fillRandom(rng, recorderChunkSize+99, rc)
 
 	var scalar, batch Counter
-	for i := range recs {
-		scalar.Consume(&recs[i])
+	for _, r := range recs {
+		scalar.Records++
+		if r.HasDest {
+			scalar.ValueProds++
+		}
 	}
 	rc.Replay(&batch)
 	if scalar != batch {
@@ -256,7 +201,7 @@ func TestBatchConcurrentReplays(t *testing.T) {
 	rc.SetMemBudget(1) // spill everything
 	for i := int64(0); i < n; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	rc.Seal()
 	defer rc.Close()
@@ -276,7 +221,7 @@ func TestBatchConcurrentReplays(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			got := &batchCapture{}
+			got := &capture{}
 			rc.Replay(got)
 			if !reflect.DeepEqual(want.recs, got.recs) {
 				errs <- "concurrent batch Replay differs"
@@ -284,7 +229,7 @@ func TestBatchConcurrentReplays(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			got := &batchCapture{}
+			got := &capture{}
 			rc.ReplayDirs(dirs, got)
 			if !reflect.DeepEqual(wantD.recs, got.recs) {
 				errs <- "concurrent batch ReplayDirs differs"
@@ -292,7 +237,7 @@ func TestBatchConcurrentReplays(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			a := &batchCapture{}
+			a := &capture{}
 			var b capture
 			rc.MultiEval(EvalConfig{Consumer: a}, EvalConfig{Dirs: dirs, Consumer: &b})
 			if !reflect.DeepEqual(want.recs, a.recs) || !reflect.DeepEqual(wantD.recs, b.recs) {
@@ -340,7 +285,7 @@ func TestReplayResidentBytes(t *testing.T) {
 	resident := NewRecorder()
 	for i := int64(0); i < recorderChunkSize; i++ {
 		r := synthRecord(i)
-		resident.Consume(&r)
+		push(resident, &r)
 	}
 	resident.Seal()
 	if got, want := resident.ReplayResidentBytes(), resident.BytesResident(); got != want {
@@ -354,7 +299,7 @@ func TestReplayResidentBytes(t *testing.T) {
 	spilled.SetMemBudget(1)
 	for i := int64(0); i < 2*recorderChunkSize; i++ {
 		r := synthRecord(i)
-		spilled.Consume(&r)
+		push(spilled, &r)
 	}
 	spilled.Seal()
 	defer spilled.Close()

@@ -11,8 +11,9 @@ import (
 // straight into per-chunk SoA columns (plain byte/int64 stores, no Record,
 // no interface call), and the zigzag-delta/varint compression runs once per
 // chunk at flush time through the speculative uniform-width encoders of
-// codec.go. Producers that emit whole Records (Consume) destructure them
-// into the same columns, so every path reaches one encoder.
+// codec.go. The VM's reference step loop destructures whole Records into
+// the same columns (AppendRecord), and batch producers copy theirs in
+// (appendBatch), so every path reaches one encoder.
 
 // RecordColumns is one chunk of staged records as parallel columns: element
 // i of every column carries the field Record i would. The byte columns use
@@ -62,9 +63,9 @@ func packRead(rd RegRead) byte {
 	return b
 }
 
-// appendRecord destructures r into the columns — the per-record producer's
-// entry into column staging.
-func (st *RecordColumns) appendRecord(r *Record) {
+// AppendRecord destructures r into the columns — the per-record producer's
+// entry into column staging. The caller must guarantee room (N < Cap).
+func (st *RecordColumns) AppendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
 	f := byte(r.Dir) << 4
@@ -90,6 +91,26 @@ func (st *RecordColumns) appendRecord(r *Record) {
 	st.Phase[i] = int64(r.Phase)
 	st.Seq[i] = r.Seq
 	st.N = i + 1
+}
+
+// appendBatch copies records [k, k+m) of b into the stage, which must have
+// room for them. The flags bytes are rebuilt from the Dir column, so a
+// directive patch applied by the replay lands in the stage exactly as it
+// would in a re-executed run.
+func (st *RecordColumns) appendBatch(b *Batch, k, m int) {
+	i := st.N
+	copy(st.Op[i:], b.Op[k:k+m])
+	copy(st.Dest[i:], b.Dest[k:k+m])
+	copy(st.Reads[2*i:], b.Reads[2*k:2*(k+m)])
+	copy(st.Addr[i:], b.Addr[k:k+m])
+	copy(st.Value[i:], b.Value[k:k+m])
+	copy(st.Mem[i:], b.MemAddr[k:k+m])
+	copy(st.Phase[i:], b.Phase[k:k+m])
+	copy(st.Seq[i:], b.Seq[k:k+m])
+	for j := 0; j < m; j++ {
+		st.Flags[i+j] = b.Flags[k+j]&0x0f | byte(b.Dir[k+j])<<4
+	}
+	st.N = i + m
 }
 
 // batch exposes the staged records as a Batch aliasing the stage columns,
@@ -132,8 +153,7 @@ func newRecordColumns(n int) *RecordColumns {
 	}
 }
 
-// colsPool recycles chunk-sized stages across Recorders and ColumnSinks
-// (~0.6 MiB each).
+// colsPool recycles chunk-sized stages across Recorders (~0.6 MiB each).
 var colsPool = sync.Pool{New: func() any { return newRecordColumns(recorderChunkSize) }}
 
 func getCols() *RecordColumns {
@@ -145,16 +165,25 @@ func getCols() *RecordColumns {
 
 func putCols(st *RecordColumns) { colsPool.Put(st) }
 
-// ColumnAppender is a Consumer that additionally accepts fused column
-// appends. The VM dispatch loop detects it once at run start: when
-// ColumnStage returns a non-nil stage the VM bypasses Consume entirely and
-// writes destructured record fields straight into the stage's columns,
-// calling FlushColumns each time the stage fills and FlushTail once when the
-// run ends (halt or error). A nil ColumnStage (a sealed recorder) keeps the
-// run on the per-record Consume loop. Both paths must be observably
-// identical — the differential suites enforce it byte for byte.
+// sinkChunkSize is the stage size of a ColumnSink. A sink only carries a
+// live run to its consumers, so its stage need not match the Recorder's
+// chunk; at 2048 records (~90 KiB of columns) the stage stays
+// cache-resident between the VM writing it and the consumers reading it
+// back, which measured faster on the live ILP runs of ext:sched, ext:hybrid
+// and table5.2 than chunk-sized stages.
+const sinkChunkSize = 1 << 11
+
+// sinkPool recycles ColumnSink stages.
+var sinkPool = sync.Pool{New: func() any { return newRecordColumns(sinkChunkSize) }}
+
+// ColumnAppender accepts fused column appends. The VM detects a sole
+// consumer that is a ColumnAppender once at run start: when ColumnStage
+// returns a non-nil stage the VM writes destructured record fields straight
+// into the stage's columns, calling FlushColumns each time the stage fills
+// and FlushTail once when the run ends (halt or error). Any other set of
+// consumers is served through a ColumnSink, itself a ColumnAppender. The
+// Recorder and the file Writer are both ColumnAppenders and Consumers.
 type ColumnAppender interface {
-	Consumer
 	// ColumnStage returns the live staging columns, or nil when fused
 	// recording is unavailable.
 	ColumnStage() *RecordColumns
@@ -163,52 +192,46 @@ type ColumnAppender interface {
 	FlushColumns() *RecordColumns
 	// FlushTail settles a partially filled stage at end of run. Buffering
 	// appenders (the Recorder) may keep the tail staged; delivering
-	// appenders (ColumnSink) must hand it to their consumer.
+	// appenders (ColumnSink) must hand it to their consumers.
 	FlushTail()
 }
 
-// ColumnSink adapts a BatchConsumer into a ColumnAppender: the VM's fused
-// loop stages columns and the sink delivers each filled stage to the
-// consumer as a Batch — so a live recording run feeds column kernels (the
-// profiler's training pass, prediction engines) at chunk granularity with no
-// per-record dispatch, mirroring what replay already does for sealed traces.
-// Batches are delivered in stream order, valid only for the duration of the
-// ConsumeBatch call, exactly the replay contract.
+// ColumnSink adapts consumers into a ColumnAppender: the VM stages columns
+// and the sink hands each filled stage to every consumer in attach order as
+// one Batch — so a live run feeds column kernels (the profiler's training
+// pass, prediction engines, the ILP machine) at chunk granularity with no
+// per-record dispatch, exactly as replay does for sealed traces. Batches
+// are delivered in stream order, valid only for the duration of the
+// ConsumeBatch call.
 type ColumnSink struct {
-	c     BatchConsumer
+	cs    []Consumer
 	st    *RecordColumns
 	dir   []isa.Directive
 	batch Batch
 	n     int64
 }
 
-// NewColumnSink returns a sink feeding c. Call Close when done to return the
-// pooled stage.
-func NewColumnSink(c BatchConsumer) *ColumnSink {
-	return &ColumnSink{c: c, st: getCols(), dir: make([]isa.Directive, recorderChunkSize)}
-}
-
-// Consume stages one record: records delivered one at a time flow through
-// the same staging columns, so per-record and fused producers feed the
-// consumer identical batches.
-func (s *ColumnSink) Consume(r *Record) {
-	s.st.appendRecord(r)
-	if s.st.N == s.st.Cap() {
-		s.FlushColumns()
-	}
+// NewColumnSink returns a sink feeding cs. Call Close when done to deliver
+// the tail and return the pooled stage.
+func NewColumnSink(cs ...Consumer) *ColumnSink {
+	st := sinkPool.Get().(*RecordColumns)
+	st.N, st.FirstSeq = 0, 0
+	return &ColumnSink{cs: cs, st: st, dir: make([]isa.Directive, sinkChunkSize)}
 }
 
 // ColumnStage implements ColumnAppender.
 func (s *ColumnSink) ColumnStage() *RecordColumns { return s.st }
 
-// FlushColumns delivers the staged columns to the consumer as one Batch.
+// FlushColumns delivers the staged columns to every consumer as one Batch.
 func (s *ColumnSink) FlushColumns() *RecordColumns {
 	st := s.st
 	if st.N == 0 {
 		return st
 	}
 	st.batch(&s.batch, s.dir)
-	s.c.ConsumeBatch(&s.batch)
+	for _, c := range s.cs {
+		c.ConsumeBatch(&s.batch)
+	}
 	s.n += int64(st.N)
 	st.N = 0
 	st.FirstSeq = s.n
@@ -223,7 +246,7 @@ func (s *ColumnSink) FlushTail() { s.FlushColumns() }
 func (s *ColumnSink) Close() {
 	s.FlushColumns()
 	if s.st != nil {
-		putCols(s.st)
+		sinkPool.Put(s.st)
 		s.st = nil
 	}
 }

@@ -105,7 +105,7 @@ func TestSpilledMatchesResident(t *testing.T) {
 		rc := NewRecorder()
 		rc.SetMemBudget(budget)
 		for i := range recs {
-			rc.Consume(&recs[i])
+			push(rc, &recs[i])
 		}
 		rc.Seal()
 		return rc
@@ -123,7 +123,7 @@ func TestSpilledMatchesResident(t *testing.T) {
 	}
 
 	dirs := testDirs(rng)
-	wantDirs := capture{oracleDirs(recs, dirs)}
+	wantDirs := capture{recs: oracleDirs(recs, dirs)}
 
 	for _, budget := range []int64{1, 64 << 10, 1 << 20} {
 		rc := record(budget)
@@ -170,7 +170,7 @@ func TestSpilledConcurrentReplays(t *testing.T) {
 	rc.SetMemBudget(1) // spill everything
 	for i := int64(0); i < n; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	rc.Seal()
 	defer rc.Close()
@@ -228,7 +228,7 @@ func TestSpillAccounting(t *testing.T) {
 	rc.SetMemBudget(1)
 	for i := int64(0); i < 2*recorderChunkSize+10; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	// Two full chunks flushed; 10 records still staged.
 	if rc.SpilledChunks() != 2 {
@@ -265,7 +265,7 @@ func TestSpillBudgetKeepsHeadResident(t *testing.T) {
 	probe := NewRecorder()
 	for i := int64(0); i < recorderChunkSize; i++ {
 		r := synthRecord(i)
-		probe.Consume(&r)
+		push(probe, &r)
 	}
 	oneChunk := probe.EncodedBytes()
 	if oneChunk == 0 {
@@ -276,7 +276,7 @@ func TestSpillBudgetKeepsHeadResident(t *testing.T) {
 	rc.SetMemBudget(oneChunk + oneChunk/2)
 	for i := int64(0); i < 3*recorderChunkSize; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	rc.Seal()
 	defer rc.Close()

@@ -89,10 +89,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // The frame being filled is staged as columns, not records: Writer
 // implements ColumnAppender (the VM's fused loop writes destructured fields
-// straight into the frame stage) and BatchConsumer (replaying a sealed
-// Recorder to a file copies decoded columns frame by frame), and Consume
-// destructures into the same stage — all three producers reach the column
-// encoder and produce byte-identical files.
+// straight into the frame stage) and Consumer (replaying a sealed Recorder
+// to a file copies decoded columns frame by frame) — both producers reach
+// the column encoder and produce byte-identical files.
 type Writer struct {
 	out     io.Writer
 	cols    *RecordColumns // the frame being filled
@@ -133,45 +132,13 @@ func (tw *Writer) flushBuf() {
 	tw.bufRec = tw.n
 }
 
-// Consume implements Consumer by appending the record to the file.
-func (tw *Writer) Consume(r *Record) {
-	if tw.err != nil {
-		tw.dropped++
-		return
-	}
-	tw.cols.appendRecord(r)
-	if tw.cols.N == fileChunkSize {
-		tw.flushFrame()
-	}
-}
-
-// ConsumeBatch implements BatchConsumer: decoded replay chunks are copied
-// into the frame stage column-wise (the flags bytes are rebuilt so a
-// directive column patched by ReplayDirs lands in the file, exactly as the
-// per-record path writes the patched record).
+// ConsumeBatch implements Consumer: batches are copied into the frame stage
+// column-wise (a directive column patched by ReplayDirs lands in the file).
 func (tw *Writer) ConsumeBatch(b *Batch) {
-	if tw.err != nil {
-		tw.dropped += int64(b.N)
-		return
-	}
 	for k := 0; k < b.N; {
 		st := tw.cols
-		m := b.N - k
-		if room := st.Cap() - st.N; m > room {
-			m = room
-		}
-		i := st.N
-		copy(st.Op[i:], b.Op[k:k+m])
-		copy(st.Dest[i:], b.Dest[k:k+m])
-		copy(st.Reads[2*i:], b.Reads[2*k:2*(k+m)])
-		copy(st.Addr[i:], b.Addr[k:k+m])
-		copy(st.Value[i:], b.Value[k:k+m])
-		copy(st.Mem[i:], b.MemAddr[k:k+m])
-		copy(st.Phase[i:], b.Phase[k:k+m])
-		for j := 0; j < m; j++ {
-			st.Flags[i+j] = b.Flags[k+j]&0x0f | byte(b.Dir[k+j])<<4
-		}
-		st.N = i + m
+		m := min(b.N-k, st.Cap()-st.N)
+		st.appendBatch(b, k, m)
 		k += m
 		if st.N == st.Cap() {
 			tw.flushFrame()
@@ -190,15 +157,20 @@ func (tw *Writer) FlushColumns() *RecordColumns {
 }
 
 // FlushTail implements ColumnAppender; the partial frame stays staged until
-// Flush or Close, like Consume'd records.
+// Flush or Close.
 func (tw *Writer) FlushTail() {}
 
 // flushFrame encodes and writes the staged columns as one VPTRC02 frame.
 // Records are counted as accepted here, at frame granularity, because fused
-// producers bypass Consume and write the stage directly.
+// producers write the stage directly.
 func (tw *Writer) flushFrame() {
 	st := tw.cols
-	if st.N == 0 || tw.err != nil {
+	if st.N == 0 {
+		return
+	}
+	if tw.err != nil {
+		tw.dropped += int64(st.N) // after a write error the stage only drains
+		st.N = 0
 		return
 	}
 	tw.n += int64(st.N)
@@ -333,16 +305,17 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Reader streams records from an io.Reader, accepting both trace formats.
+// Reader streams a trace file as batches, accepting both trace formats.
 type Reader struct {
 	r      *bufio.Reader
 	format Format
+	batch  Batch
+	seq    int64 // records read so far (the derived Seq basis)
 
-	// v2 state: the decoded frame being drained.
-	batch   Batch
-	bi      int
-	payload []byte
-	seq     int64 // records handed out so far (the derived Seq basis)
+	payload []byte         // v2 frame payload scratch
+	v1      *RecordColumns // v1 records staged for the batch
+	v1dir   []isa.Directive
+	v1err   error // error met after the records of the last v1 batch
 }
 
 // NewReader validates the trace header and returns a streaming reader for
@@ -365,21 +338,24 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Format reports the file format the header declared.
 func (tr *Reader) Format() Format { return tr.format }
 
-// Next reads the next record. It returns io.EOF at a clean end of trace and
-// an error wrapping ErrTruncated or ErrCorrupt (or the v1 diagnostics) for
-// anything malformed.
-func (tr *Reader) Next(r *Record) error {
+// NextBatch reads the next batch of records: one frame of a VPTRC02 file,
+// up to fileChunkSize records of a VPTRC01 one. The batch is read-only and
+// valid until the next call. NextBatch returns io.EOF at a clean end of
+// trace and an error wrapping ErrTruncated or ErrCorrupt (or the v1
+// diagnostics) for anything malformed; records that precede a malformed one
+// are delivered first.
+func (tr *Reader) NextBatch() (*Batch, error) {
+	var err error
 	if tr.format == FormatV1 {
-		return tr.nextV1(r)
+		err = tr.readV1()
+	} else {
+		err = tr.readFrame()
 	}
-	for tr.bi >= tr.batch.N {
-		if err := tr.readFrame(); err != nil {
-			return err
-		}
+	if err != nil {
+		return nil, err
 	}
-	tr.batch.Record(tr.bi, r)
-	tr.bi++
-	return nil
+	tr.seq += int64(tr.batch.N)
+	return &tr.batch, nil
 }
 
 // readFrame reads, decodes and validates the next VPTRC02 frame into
@@ -424,12 +400,37 @@ func (tr *Reader) readFrame() error {
 		tr.batch.N = 0
 		return fmt.Errorf("trace: %w: %w", ErrCorrupt, err)
 	}
-	tr.bi = 0
-	tr.seq += int64(d.n)
 	return nil
 }
 
-func (tr *Reader) nextV1(r *Record) error {
+// readV1 stages up to fileChunkSize VPTRC01 records into tr.batch. An error
+// after at least one good record is held back for the next call, so the
+// records before it are delivered first.
+func (tr *Reader) readV1() error {
+	if err := tr.v1err; err != nil {
+		return err
+	}
+	if tr.v1 == nil {
+		tr.v1 = newRecordColumns(fileChunkSize)
+		tr.v1dir = make([]isa.Directive, fileChunkSize)
+	}
+	st := tr.v1
+	st.N, st.FirstSeq = 0, tr.seq
+	for st.N < st.Cap() {
+		if err := tr.readV1Record(st); err != nil {
+			if st.N == 0 {
+				return err
+			}
+			tr.v1err = err
+			break
+		}
+	}
+	st.batch(&tr.batch, tr.v1dir)
+	return nil
+}
+
+// readV1Record decodes one fixed-size VPTRC01 record into the stage.
+func (tr *Reader) readV1Record(st *RecordColumns) error {
 	var buf [v1RecordSize]byte
 	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -437,49 +438,24 @@ func (tr *Reader) nextV1(r *Record) error {
 		}
 		return fmt.Errorf("trace: truncated record: %w", err)
 	}
-	r.Addr = int64(binary.LittleEndian.Uint64(buf[0:]))
-	r.Seq = int64(binary.LittleEndian.Uint64(buf[8:]))
-	r.Value = int64(binary.LittleEndian.Uint64(buf[16:]))
-	r.MemAddr = int64(binary.LittleEndian.Uint64(buf[24:]))
-	r.Op = isa.Opcode(buf[32])
-	r.Dir = isa.Directive(buf[33])
-	if !r.Op.Valid() {
-		return fmt.Errorf("trace: invalid opcode %d in record %d", buf[32], r.Seq)
+	seq := int64(binary.LittleEndian.Uint64(buf[8:]))
+	if op := isa.Opcode(buf[32]); !op.Valid() {
+		return fmt.Errorf("trace: invalid opcode %d in record %d", buf[32], seq)
 	}
-	if !r.Dir.Valid() {
-		return fmt.Errorf("trace: invalid directive %d in record %d", buf[33], r.Seq)
+	if dir := isa.Directive(buf[33]); !dir.Valid() {
+		return fmt.Errorf("trace: invalid directive %d in record %d", buf[33], seq)
 	}
-	flags := buf[34]
-	r.HasDest = flags&1 != 0
-	r.DestFP = flags&2 != 0
-	r.Taken = flags&4 != 0
-	r.HasMem = flags&8 != 0
-	r.Dest = isa.Reg(buf[35])
-	r.Phase = int(binary.LittleEndian.Uint16(buf[36:]))
-	for i := range r.Reads {
-		b := buf[38+i]
-		r.Reads[i] = RegRead{
-			Valid: b&0x80 != 0,
-			FP:    b&0x40 != 0,
-			Reg:   isa.Reg(b & 0x3f),
-		}
-	}
+	i := st.N
+	st.Addr[i] = int64(binary.LittleEndian.Uint64(buf[0:]))
+	st.Seq[i] = seq
+	st.Value[i] = int64(binary.LittleEndian.Uint64(buf[16:]))
+	st.Mem[i] = int64(binary.LittleEndian.Uint64(buf[24:]))
+	st.Op[i] = buf[32]
+	st.Flags[i] = buf[34]&0x0f | buf[33]<<4
+	st.Dest[i] = buf[35]
+	st.Phase[i] = int64(binary.LittleEndian.Uint16(buf[36:]))
+	st.Reads[2*i] = buf[38]
+	st.Reads[2*i+1] = buf[39]
+	st.N = i + 1
 	return nil
-}
-
-// ReadAll drains the reader into a slice; intended for tests and small
-// traces.
-func (tr *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		var r Record
-		err := tr.Next(&r)
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
 }

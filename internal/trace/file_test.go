@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 )
@@ -53,7 +52,7 @@ func encodeV2(t *testing.T, recs []Record) []byte {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestFileV2MultiFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +99,13 @@ func TestFileV2TruncationAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Flush(); err != nil { // force a frame boundary at 400 records
 		t.Fatal(err)
 	}
 	for i := 400; i < len(recs); i++ {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -135,27 +134,22 @@ func TestFileV2TruncationAtEveryOffset(t *testing.T) {
 			}
 			continue // magic itself truncated: rejected up front, as it must be
 		}
-		read := 0
-		var rec Record
-		for {
-			err = r.Next(&rec)
-			if err != nil {
-				break
+		got, err := readAll(r)
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("cut %d: record %d differs", cut, i)
 			}
-			if rec != recs[read] {
-				t.Fatalf("cut %d: record %d differs", cut, read)
-			}
-			read++
 		}
+		read := len(got)
 		if wantRecs, clean := boundaries[cut]; clean {
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("cut %d (frame boundary): err = %v, want io.EOF", cut, err)
+			if err != nil {
+				t.Fatalf("cut %d (frame boundary): err = %v, want a clean end", cut, err)
 			}
 			if read != wantRecs {
 				t.Fatalf("cut %d: read %d records, want %d", cut, read, wantRecs)
 			}
 		} else {
-			if errors.Is(err, io.EOF) || err == nil {
+			if err == nil {
 				t.Fatalf("cut %d (mid-frame): err = %v, want truncation/corruption error", cut, err)
 			}
 			// A mid-frame cut must never hand out records from the cut frame.
@@ -201,7 +195,7 @@ func TestWriterSurfacesWriteError(t *testing.T) {
 		}
 		recs := synthStream(0, fileChunkSize+50)
 		for i := range recs {
-			w.Consume(&recs[i])
+			push(w, &recs[i])
 			if i%64 == 0 {
 				w.Flush() // push frames at the failing writer mid-stream
 			}
@@ -230,6 +224,29 @@ func TestWriterSurfacesWriteError(t *testing.T) {
 	})
 }
 
+// TestWriterDrainsAfterWriteError: once the output has failed, full frame
+// stages keep draining (counted as dropped) so a producer writing the stage
+// directly — the VM's fused loop — never finds it stuck full.
+func TestWriterDrainsAfterWriteError(t *testing.T) {
+	w, err := NewWriter(&flakyWriter{failAfter: len(fileMagicV2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := synthStream(0, 3*fileChunkSize+7)
+	for i := range recs {
+		push(w, &recs[i])
+	}
+	if st := w.ColumnStage(); st.N == st.Cap() {
+		t.Fatal("frame stage stuck full after a write error")
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want the write error", err)
+	}
+	if w.Dropped() != int64(len(recs)) {
+		t.Fatalf("dropped %d records, want all %d (no frame was written)", w.Dropped(), len(recs))
+	}
+}
+
 // TestWriterErrorOffsetPointsAtFailure pins the reported record index and
 // byte offset to the frame the failure struck: with one frame per record, a
 // writer that accepts the magic plus two frames fails at record 2, at the
@@ -246,7 +263,7 @@ func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 		w.Flush()
 	}
 	err = w.Close()
@@ -282,11 +299,11 @@ func TestFileFormatsCarryIdenticalStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1, err := r1.ReadAll()
+	got1, err := readAll(r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := r2.ReadAll()
+	got2, err := readAll(r2)
 	if err != nil {
 		t.Fatal(err)
 	}

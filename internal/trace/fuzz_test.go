@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -90,15 +88,8 @@ func FuzzReaderV2(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var rec Record
-		for i := 0; ; i++ {
-			err := r.Next(&rec)
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				return
-			}
+		recs, _ := readAll(r)
+		for i, rec := range recs {
 			if !rec.Op.Valid() || !rec.Dir.Valid() {
 				t.Fatalf("record %d: invalid Op/Dir passed strict decode: %+v", i, rec)
 			}
@@ -116,7 +107,7 @@ func encodeV2FuzzSeed(recs []Record) []byte {
 		panic(err)
 	}
 	for i := range recs {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
@@ -144,7 +135,7 @@ func FuzzFileRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.ReadAll()
+			got, err := readAll(r)
 			if err != nil {
 				t.Fatal(err)
 			}

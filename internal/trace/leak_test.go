@@ -21,7 +21,7 @@ func TestRecorderCloseWithoutSeal(t *testing.T) {
 	rc.SetMemBudget(1)
 	for i := int64(0); i < 3*recorderChunkSize+10; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
@@ -33,8 +33,6 @@ func TestRecorderCloseWithoutSeal(t *testing.T) {
 
 // panicAfter is a batch consumer that panics on its n-th batch.
 type panicAfter struct{ n int }
-
-func (p *panicAfter) Consume(*Record) {}
 
 func (p *panicAfter) ConsumeBatch(*Batch) {
 	if p.n--; p.n == 0 {
@@ -54,7 +52,7 @@ func TestLaneReplayConsumerPanic(t *testing.T) {
 		recs := make([]Record, n)
 		for i := range recs {
 			recs[i] = synthRecord(int64(i))
-			rc.Consume(&recs[i])
+			push(rc, &recs[i])
 		}
 		rc.Seal()
 		if decodeLanes(len(rc.chunks)) < 2 {

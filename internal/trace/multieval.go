@@ -34,12 +34,9 @@ type EvalConfig struct {
 //
 // The walk is chunk-tiled: each chunk is loaded and decoded once into a
 // Batch and then run through every configuration before the walk advances,
-// so configurations 2..N read the decoded columns from cache. Batch
-// consumers get ConsumeBatch (with a patched Dir column for directive
-// configurations); scalar consumers (the ILP machine, critical-path
-// analysis, ConsumerFunc) get the records the walk materialized from the
-// batch, with the directive patched per record. The unsealed staging tail
-// of a Recorder still being recorded is delivered last, as a Batch over the
+// so configurations 2..N read the decoded columns from cache. Directive
+// configurations see a patched Dir column. The unsealed staging tail of a
+// Recorder still being recorded is delivered last, as a Batch over the
 // staging columns.
 //
 // Directive patches write per-pass scratch, never the recorded chunks, so
@@ -50,18 +47,10 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	}
 	rc.passes.Add(1)
 	ev := evaluator{cfgs: cfgs}
-	for _, cfg := range cfgs {
-		if _, ok := cfg.Consumer.(BatchConsumer); !ok {
-			ev.records = true
-		}
-	}
-	rc.walkBatches(ev.records, ev.eval)
+	rc.walkBatches(ev.eval)
 	if st := rc.cols; st != nil && st.N > 0 {
 		var b Batch
 		st.batch(&b, make([]isa.Directive, st.N))
-		if ev.records {
-			b.recs = b.Records(make([]Record, b.N))
-		}
 		ev.eval(&b)
 	}
 	return int64(len(cfgs) - 1)
@@ -69,43 +58,24 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 
 // evaluator runs decoded batches through a pass's configurations.
 type evaluator struct {
-	cfgs    []EvalConfig
-	records bool            // some configuration is scalar: batches carry recs
-	dirs    []isa.Directive // patched directive scratch
+	cfgs []EvalConfig
+	dirs []isa.Directive // patched directive scratch
 }
 
-// eval feeds one batch to every configuration in order. b.recs (when
-// materialized) starts out carrying the recorded directives; a scalar
-// directive configuration rewrites their Dir fields, and the next scalar
-// configuration restores whatever it needs.
+// eval feeds one batch to every configuration in order, swapping in the
+// patched directive column for directive configurations.
 func (e *evaluator) eval(b *Batch) {
 	recorded := b.Dir
-	patched := false // b.recs Dir fields hold a patch rather than the recording
 	for _, cfg := range e.cfgs {
-		dir := recorded
+		b.Dir = recorded
 		if cfg.Dirs != nil {
 			if cap(e.dirs) < b.N {
 				e.dirs = make([]isa.Directive, b.N)
 			}
-			dir = e.dirs[:b.N]
-			patchDirs(dir, b.Addr, cfg.Dirs)
+			b.Dir = e.dirs[:b.N]
+			patchDirs(b.Dir, b.Addr, cfg.Dirs)
 		}
-		if bc, ok := cfg.Consumer.(BatchConsumer); ok {
-			b.Dir = dir
-			bc.ConsumeBatch(b)
-			continue
-		}
-		recs := b.recs[:b.N]
-		if cfg.Dirs != nil || patched {
-			for i := range recs {
-				recs[i].Dir = dir[i]
-			}
-			patched = cfg.Dirs != nil
-		}
-		c := cfg.Consumer
-		for i := range recs {
-			c.Consume(&recs[i])
-		}
+		cfg.Consumer.ConsumeBatch(b)
 	}
 	b.Dir = recorded
 }

@@ -15,7 +15,7 @@ func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
 	rc := NewRecorder()
 	for i := int64(0); i < n; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	rc.Seal()
 
@@ -74,7 +74,7 @@ func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
 func TestMultiEvalEmpty(t *testing.T) {
 	rc := NewRecorder()
 	r := synthRecord(0)
-	rc.Consume(&r)
+	push(rc, &r)
 	rc.Seal()
 	if saved := rc.MultiEval(); saved != 0 {
 		t.Errorf("MultiEval() saved = %d, want 0", saved)
@@ -91,7 +91,7 @@ func TestMultiEvalEmpty(t *testing.T) {
 func TestPassesCounter(t *testing.T) {
 	rc := NewRecorder()
 	r := synthRecord(0)
-	rc.Consume(&r)
+	push(rc, &r)
 	rc.Seal()
 	var a, b capture
 	rc.Replay(&a)

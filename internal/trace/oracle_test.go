@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/isa"
@@ -12,8 +14,8 @@ import (
 // against: the input stream itself, kept as a plain []Record, with
 // directive patches applied one record at a time, and a per-record
 // reference encoder that pins the chunk byte format independently of the
-// column encoder. (For the fused VM recorder the oracle is the live VM's
-// per-record step loop; see internal/experiments.)
+// column encoder. (For the fused VM recorder the oracle is the VM's
+// reference step loop; see the differential suite in package vm.)
 
 // oracleDirs returns recs with each directive replaced by dirs[Addr], or
 // DirNone for addresses outside dirs — what ReplayDirs must deliver.
@@ -79,7 +81,7 @@ func colsOf(recs []Record, firstSeq int64) *RecordColumns {
 	st := newRecordColumns(len(recs))
 	st.FirstSeq = firstSeq
 	for i := range recs {
-		st.appendRecord(&recs[i])
+		st.AppendRecord(&recs[i])
 	}
 	return st
 }
@@ -108,7 +110,9 @@ func decodeChunk(out []Record, data []byte, firstSeq int64, withSeq, strict bool
 	if b.N > len(out) {
 		return 0, fmt.Errorf("trace: chunk holds %d records, buffer %d", b.N, len(out))
 	}
-	b.Records(out)
+	for i := 0; i < b.N; i++ {
+		b.Record(i, &out[i])
+	}
 	return b.N, nil
 }
 
@@ -129,4 +133,34 @@ func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
 		chunks = append(chunks, append([]byte(nil), data...))
 	}
 	return chunks
+}
+
+// push stages one record into a Recorder or Writer: the per-record producer
+// path the VM's reference step loop takes.
+func push(ca ColumnAppender, r *Record) {
+	st := ca.ColumnStage()
+	st.AppendRecord(r)
+	if st.N == st.Cap() {
+		ca.FlushColumns()
+	}
+}
+
+// readAll drains a trace-file reader into records, returning those read
+// before any error.
+func readAll(tr *Reader) ([]Record, error) {
+	var out []Record
+	for {
+		b, err := tr.NextBatch()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		for i := 0; i < b.N; i++ {
+			var r Record
+			b.Record(i, &r)
+			out = append(out, r)
+		}
+	}
 }

@@ -107,7 +107,7 @@ func TestFusedRecorderMatchesScalarRecord(t *testing.T) {
 		rc := NewRecorder()
 		rc.SetMemBudget(budget)
 		for i := range recs {
-			rc.Consume(&recs[i])
+			push(rc, &recs[i])
 		}
 		defer rc.Close()
 		var unsealed capture
@@ -136,24 +136,27 @@ func TestFusedRecorderMatchesScalarRecord(t *testing.T) {
 	}
 }
 
-// TestColumnSinkMatchesScalarDelivery checks the ColumnSink adapter: a scalar
-// record stream pushed through a sink must deliver the same records (as
-// batches) that direct per-record consumption observes, including the
-// partial-tail flush.
+// TestColumnSinkMatchesScalarDelivery checks the ColumnSink adapter: a
+// record stream staged into a sink one record at a time (the VM step loop's
+// path) must reach the consumer as the same records, in one batch per full
+// stage plus the partial tail.
 func TestColumnSinkMatchesScalarDelivery(t *testing.T) {
-	const n = recorderChunkSize + 99
-	var want capture
-	var got batchCapture
+	const n = sinkChunkSize + 99
+	var want []Record
+	var got capture
 	sink := NewColumnSink(&got)
 	for i := int64(0); i < n; i++ {
 		r := synthRecord(i)
 		r.Seq = i
-		want.Consume(&r)
-		sink.Consume(&r)
+		want = append(want, r)
+		push(sink, &r)
 	}
 	sink.Close()
-	if !reflect.DeepEqual(want.recs, got.recs) {
-		t.Fatal("ColumnSink delivery differs from direct scalar consumption")
+	if !reflect.DeepEqual(want, got.recs) {
+		t.Fatal("ColumnSink delivery differs from the staged records")
+	}
+	if got.batches != 2 {
+		t.Fatalf("sink delivered %d batches, want 2 (stage + tail)", got.batches)
 	}
 }
 
@@ -173,8 +176,9 @@ func writeFile(t *testing.T, fill func(tw *Writer)) []byte {
 }
 
 // TestWriterProducerPathsMatch drives the trace-file Writer through its three
-// producer paths — per-record Consume, batch ConsumeBatch (replay), and
-// fused column staging (live VM) — and requires byte-identical files.
+// producer paths — per-record staging (the VM step loop), ConsumeBatch
+// (replay), and fused column staging (the VM fused loop) — and requires
+// byte-identical files.
 func TestWriterProducerPathsMatch(t *testing.T) {
 	const n = 2*fileChunkSize + 333
 	recs := make([]Record, n)
@@ -183,19 +187,19 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 	}
 	rc := NewRecorder()
 	for i := range recs {
-		rc.Consume(&recs[i])
+		push(rc, &recs[i])
 	}
 	rc.Seal()
 	defer rc.Close()
 
 	scalar := writeFile(t, func(tw *Writer) {
 		for i := range recs {
-			tw.Consume(&recs[i])
+			push(tw, &recs[i])
 		}
 	})
 	batch := writeFile(t, func(tw *Writer) { rc.Replay(tw) })
 	if !bytes.Equal(scalar, batch) {
-		t.Error("batch-replay file differs from per-record Consume file")
+		t.Error("batch-replay file differs from the per-record staged file")
 	}
 	fused := writeFile(t, func(tw *Writer) {
 		st := tw.ColumnStage()
@@ -203,12 +207,12 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 			if st.N == st.Cap() {
 				st = tw.FlushColumns()
 			}
-			st.appendRecord(&recs[i])
+			st.AppendRecord(&recs[i])
 		}
 		tw.FlushTail()
 	})
 	if !bytes.Equal(scalar, fused) {
-		t.Error("fused column-staged file differs from per-record Consume file")
+		t.Error("fused column-staged file differs from the per-record staged file")
 	}
 }
 

@@ -19,16 +19,15 @@ import (
 // stream for every threshold and prediction-engine configuration.
 //
 // There is one record path and one replay walk. Records are staged as
-// RecordColumns (written directly by the VM's fused loop, or destructured
-// from Consume) and each full stage is encoded inline into the packed
+// RecordColumns (written directly by the VM's fused loop, or copied from
+// ConsumeBatch) and each full stage is encoded inline into the packed
 // columnar form of codec.go (~10 bytes/record against the 56-byte Record
 // struct). Every replay — Replay, ReplayDirs and MultiEval alike — walks the
 // chunks once, decoding each into a column Batch (inline, or ahead of the
-// consumer on decode lanes when spare CPUs exist); batch consumers get the
-// columns, scalar consumers get records materialized from them. When a
-// resident-bytes budget is set, encoded chunks past the budget spill to an
-// anonymous temp file (spill.go) and are read back with one positional read
-// per chunk into batch-owned scratch.
+// consumer on decode lanes when spare CPUs exist) that every consumer reads
+// as columns. When a resident-bytes budget is set, encoded chunks past the
+// budget spill to an anonymous temp file (spill.go) and are read back with
+// one positional read per chunk into batch-owned scratch.
 
 // recorderChunkSize is the number of records per storage chunk: 16384
 // records stage into ~0.6 MiB of columns and encode into roughly
@@ -50,15 +49,15 @@ type rchunk struct {
 	firstSeq int64 // stream position of the chunk's first record
 }
 
-// Recorder is a Consumer that captures the stream for later replay.
-// Recording is single-threaded (one producer), but a finished Recorder is
-// immutable and Replay/ReplayDirs/MultiEval may be called concurrently from
-// multiple goroutines. Owners that share a Recorder across goroutines (the
+// Recorder is a Consumer (and ColumnAppender) that captures the stream for
+// later replay. Recording is single-threaded (one producer), but a finished
+// Recorder is immutable and Replay/ReplayDirs/MultiEval may be called
+// concurrently from multiple goroutines. Owners that share a Recorder across goroutines (the
 // experiments context, the vpserve trace cache) must Seal it first: sealing
-// marks recording complete, turns any further Consume into a panic, and
-// documents the immutability the concurrent replays rely on. Replay hands
-// records and batches out under a strict read-only, duration-of-the-call
-// contract (the same contract as a live run); the -race stress tests in
+// marks recording complete, turns any further ConsumeBatch into a panic,
+// and documents the immutability the concurrent replays rely on. Replay
+// hands batches out under a strict read-only, duration-of-the-call contract
+// (the same contract as a live run); the -race stress tests in
 // internal/experiments drive every replay path from many goroutines to
 // catch any consumer that violates it.
 type Recorder struct {
@@ -146,8 +145,8 @@ func (rc *Recorder) ReplayResidentBytes() int64 {
 func (rc *Recorder) SpilledChunks() int64 { return rc.spilledChunks }
 
 // Seal marks recording complete: the staging tail is encoded and released,
-// further Consume panics, and the Recorder may be replayed concurrently from
-// any number of goroutines. Sealing is idempotent. The caller must establish
+// further ConsumeBatch panics, and the Recorder may be replayed concurrently
+// from any number of goroutines. Sealing is idempotent. The caller must establish
 // a happens-before edge between Seal and the first concurrent Replay
 // (publishing the Recorder through a mutex-guarded cache, a channel, or
 // sync.Once all qualify).
@@ -183,16 +182,20 @@ func (rc *Recorder) Close() error {
 	return err
 }
 
-// Consume implements Consumer by destructuring r into the staging columns,
+// ConsumeBatch implements Consumer by copying b into the staging columns,
 // the same representation the fused VM loop writes directly.
-func (rc *Recorder) Consume(r *Record) {
+func (rc *Recorder) ConsumeBatch(b *Batch) {
 	st := rc.ColumnStage()
 	if st == nil {
-		panic("trace: Consume on a sealed Recorder (recording after publication)")
+		panic("trace: ConsumeBatch on a sealed Recorder (recording after publication)")
 	}
-	st.appendRecord(r)
-	if st.N == st.Cap() {
-		rc.FlushColumns()
+	for k := 0; k < b.N; {
+		m := min(b.N-k, st.Cap()-st.N)
+		st.appendBatch(b, k, m)
+		k += m
+		if st.N == st.Cap() {
+			st = rc.FlushColumns()
+		}
 	}
 }
 
@@ -273,9 +276,8 @@ func (rc *Recorder) appendEncoded(data []byte, n int) {
 
 // loadBatch decodes chunk i into b: resident chunks in place, spilled ones
 // after one positional read into the batch-owned scratch (so pipelined
-// reads never alias a batch a consumer still holds). When records is set
-// the batch is also materialized into b.recs for scalar consumers.
-func (rc *Recorder) loadBatch(b *Batch, i int, records bool) {
+// reads never alias a batch a consumer still holds).
+func (rc *Recorder) loadBatch(b *Batch, i int) {
 	c := &rc.chunks[i]
 	data := c.data
 	if data == nil {
@@ -285,12 +287,6 @@ func (rc *Recorder) loadBatch(b *Batch, i int, records bool) {
 		}
 	}
 	mustDecodeBatch(b, data, c.firstSeq)
-	if records {
-		if cap(b.recs) < b.N {
-			b.recs = make([]Record, b.N)
-		}
-		b.recs = b.Records(b.recs)
-	}
 }
 
 // decodeLanes picks the decode-ahead width for a replay pass: one lane per
@@ -301,21 +297,21 @@ func decodeLanes(nchunks int) int {
 }
 
 // walkBatches streams every encoded chunk through fn as a decoded Batch, in
-// record order; records asks for b.recs to be materialized too. On
+// record order. On
 // multi-core machines the decode runs ahead of the consumer on a small pool
 // of worker lanes: chunk i is decoded on lane i%lanes while the consumer
 // walks earlier batches. Each lane owns two batches (decode one while the
 // consumer holds the other); delivery is strictly round-robin, which keeps
 // record order without a reordering buffer. Each batch is valid only until
 // fn returns. The staging tail is not walked.
-func (rc *Recorder) walkBatches(records bool, fn func(b *Batch)) {
+func (rc *Recorder) walkBatches(fn func(b *Batch)) {
 	nchunks := len(rc.chunks)
 	lanes := decodeLanes(nchunks)
 	if lanes == 0 {
 		b := getBatch()
 		defer putBatch(b)
 		for i := range rc.chunks {
-			rc.loadBatch(b, i, records)
+			rc.loadBatch(b, i)
 			fn(b)
 		}
 		return
@@ -349,7 +345,7 @@ func (rc *Recorder) walkBatches(records bool, fn func(b *Batch)) {
 				case <-done:
 					return
 				}
-				rc.loadBatch(b, i, records)
+				rc.loadBatch(b, i)
 				select {
 				case ln.out <- b:
 				case <-done:
@@ -392,9 +388,8 @@ func (rc *Recorder) walkBatches(records bool, fn func(b *Batch)) {
 
 // Replay feeds the recorded stream to the consumers, in stream order per
 // consumer: a single MultiEval pass with one undirected configuration each.
-// Batch consumers receive whole decoded chunks; others receive records
-// under the live-run contract (valid only for the duration of the Consume
-// call, read-only).
+// Consumers receive whole decoded chunks under the live-run contract (valid
+// only for the duration of the ConsumeBatch call, read-only).
 func (rc *Recorder) Replay(consumers ...Consumer) {
 	rc.MultiEval(configs(nil, consumers)...)
 }

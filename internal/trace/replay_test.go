@@ -32,9 +32,28 @@ func synthRecord(i int64) Record {
 	return r
 }
 
-type capture struct{ recs []Record }
+// capture records every delivered record, materializing each batch record
+// by record through Batch.Record — so comparing its stream against the
+// oracle checks every column of every batch, field for field.
+type capture struct {
+	recs    []Record
+	batches int
+}
 
-func (c *capture) Consume(r *Record) { c.recs = append(c.recs, *r) }
+// ConsumeBatch implements Consumer.
+func (c *capture) ConsumeBatch(b *Batch) {
+	c.batches++
+	if b.N != len(b.Op) || b.N != len(b.Flags) || b.N != len(b.Dest) || 2*b.N != len(b.Reads) ||
+		b.N != len(b.Dir) || b.N != len(b.Addr) || b.N != len(b.Value) ||
+		b.N != len(b.MemAddr) || b.N != len(b.Phase) || b.N != len(b.Seq) {
+		panic("trace: batch column lengths disagree with N")
+	}
+	var r Record
+	for i := 0; i < b.N; i++ {
+		b.Record(i, &r)
+		c.recs = append(c.recs, r)
+	}
+}
 
 func TestRecorderRoundTrip(t *testing.T) {
 	// Cross several chunk boundaries to cover the partial-final-chunk path.
@@ -43,8 +62,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	var live capture
 	for i := int64(0); i < n; i++ {
 		r := synthRecord(i)
-		live.Consume(&r)
-		rc.Consume(&r)
+		live.recs = append(live.recs, r)
+		push(rc, &r)
 	}
 	if rc.Len() != n {
 		t.Fatalf("Len = %d, want %d", rc.Len(), n)
@@ -65,7 +84,7 @@ func TestRecorderMultiConsumerReplay(t *testing.T) {
 	rc := NewRecorder()
 	for i := int64(0); i < 100; i++ {
 		r := synthRecord(i)
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	var a, b capture
 	rc.Replay(&a, &b)
@@ -88,8 +107,8 @@ func TestRecorderExtremeFieldValues(t *testing.T) {
 		if i == 7 {
 			r.Phase = -3
 		}
-		live.Consume(&r)
-		rc.Consume(&r)
+		live.recs = append(live.recs, r)
+		push(rc, &r)
 	}
 	var replayed capture
 	rc.Replay(&replayed)
@@ -102,7 +121,7 @@ func TestReplayDirsOverride(t *testing.T) {
 	rc := NewRecorder()
 	for i := int64(0); i < 50; i++ {
 		r := synthRecord(i) // Addr = i%1000 = i here
-		rc.Consume(&r)
+		push(rc, &r)
 	}
 	dirs := make([]isa.Directive, 20) // addresses 20..49 fall beyond the table
 	for i := range dirs {
@@ -142,7 +161,7 @@ func TestDirsOf(t *testing.T) {
 func TestRecorderSeal(t *testing.T) {
 	rc := NewRecorder()
 	r := synthRecord(1)
-	rc.Consume(&r)
+	push(rc, &r)
 	if rc.Sealed() {
 		t.Fatal("new recorder already sealed")
 	}
@@ -161,8 +180,8 @@ func TestRecorderSeal(t *testing.T) {
 	// buffer.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Consume on a sealed recorder did not panic")
+			t.Fatal("ConsumeBatch on a sealed recorder did not panic")
 		}
 	}()
-	rc.Consume(&r)
+	rc.ConsumeBatch(&Batch{})
 }

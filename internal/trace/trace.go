@@ -1,8 +1,9 @@
 // Package trace defines the dynamic instruction stream the simulator emits
 // and the analysis tools consume. It plays the role the SHADE tracing
-// environment played in the paper: the functional simulator produces one
-// Record per retired instruction and fans it out to any number of consumers
-// (profiler, prediction simulators, ILP machine).
+// environment played in the paper: the functional simulator retires one
+// Record per instruction and hands the stream, in chunks of column batches,
+// to any number of consumers (profiler, prediction simulators, ILP machine).
+// Live runs, trace replays and trace files all deliver the same batches.
 package trace
 
 import "repro/internal/isa"
@@ -53,29 +54,16 @@ type RegRead struct {
 	Reg   isa.Reg
 }
 
-// Consumer receives the dynamic instruction stream in program order.
+// Consumer receives the dynamic instruction stream in program order, one
+// Batch of columns at a time. It is the only consumer contract: live runs
+// (the VM's fused loop through a ColumnSink), replays and trace-file readers
+// all deliver batches. A batch is read-only and valid only for the duration
+// of the ConsumeBatch call — producers reuse the columns — so consumers that
+// keep data must copy it. Consumers attached to one run or one MultiEval
+// pass see the same batches in turn and must share no mutable state.
 type Consumer interface {
-	// Consume is called once per retired instruction. The record is only
-	// valid for the duration of the call — producers reuse the backing
-	// storage — so consumers that keep data must copy it (copying the
-	// Record value copies everything; it contains no references).
-	Consume(r *Record)
-}
-
-// ConsumerFunc adapts a function to the Consumer interface.
-type ConsumerFunc func(r *Record)
-
-// Consume calls f(r).
-func (f ConsumerFunc) Consume(r *Record) { f(r) }
-
-// Tee fans a stream out to several consumers in order.
-type Tee []Consumer
-
-// Consume forwards r to every consumer in the tee.
-func (t Tee) Consume(r *Record) {
-	for _, c := range t {
-		c.Consume(r)
-	}
+	// ConsumeBatch is called once per batch, in stream order.
+	ConsumeBatch(b *Batch)
 }
 
 // Counter counts records and value-producing records; a trivial consumer
@@ -83,12 +71,4 @@ func (t Tee) Consume(r *Record) {
 type Counter struct {
 	Records    int64
 	ValueProds int64
-}
-
-// Consume implements Consumer.
-func (c *Counter) Consume(r *Record) {
-	c.Records++
-	if r.HasDest {
-		c.ValueProds++
-	}
 }

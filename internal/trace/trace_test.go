@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -35,7 +36,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	recs := sampleRecords()
 	for i := range recs {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFileRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w.Consume(&rec)
+		push(w, &rec)
 		if err := w.Close(); err != nil {
 			return false
 		}
@@ -100,10 +101,11 @@ func TestFileRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var got Record
-		if err := r.Next(&got); err != nil {
+		recs, err := readAll(r)
+		if err != nil || len(recs) != 1 {
 			return false
 		}
+		got := recs[0]
 		// VPTRC02 does not store Seq; the reader derives it from record
 		// position, so the single record in this stream reads back as Seq 0.
 		want := rec
@@ -134,7 +136,7 @@ func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
 	if r.Format() != FormatV1 {
 		t.Fatalf("Format = %v, want FormatV1", r.Format())
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestFileV2DerivesSeqFromPosition(t *testing.T) {
 	recs := sampleRecords()
 	for i := range recs {
 		recs[i].Seq = int64(1000 - i) // deliberately non-positional
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -171,7 +173,7 @@ func TestFileV2DerivesSeqFromPosition(t *testing.T) {
 	if r.Format() != FormatV2 {
 		t.Fatalf("Format = %v, want FormatV2", r.Format())
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestReaderDetectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	recs := sampleRecords()
-	w.Consume(&recs[0])
+	push(w, &recs[0])
 	w.Close()
 	full := buf.Bytes()
 
@@ -200,8 +202,7 @@ func TestReaderDetectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	err = r.Next(&rec)
+	_, err = r.NextBatch()
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Errorf("truncated record: err = %v, want non-EOF error", err)
 	}
@@ -215,8 +216,7 @@ func TestReaderCleanEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := r.Next(&rec); !errors.Is(err, io.EOF) {
+	if _, err := r.NextBatch(); !errors.Is(err, io.EOF) {
 		t.Errorf("empty trace: err = %v, want io.EOF", err)
 	}
 }
@@ -228,8 +228,7 @@ func TestReaderRejectsCorruptOpcode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := r.Next(&rec); err == nil {
+	if _, err := r.NextBatch(); err == nil {
 		t.Error("corrupt opcode accepted")
 	}
 }
@@ -239,7 +238,7 @@ func TestReaderV2RejectsCorruptFrame(t *testing.T) {
 	w, _ := NewWriter(&buf)
 	recs := sampleRecords()
 	for i := range recs {
-		w.Consume(&recs[i])
+		push(w, &recs[i])
 	}
 	w.Close()
 	base := buf.Bytes()
@@ -251,34 +250,37 @@ func TestReaderV2RejectsCorruptFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec Record
-		err = r.Next(&rec)
+		_, err = r.NextBatch()
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("payload byte %d flipped: err = %v, want ErrCorrupt", off, err)
 		}
 	}
 }
 
-func TestTeeFansOut(t *testing.T) {
+// TestColumnSinkFansOut: a sink hands every staged batch to each of its
+// consumers, in attach order.
+func TestColumnSinkFansOut(t *testing.T) {
 	var a, b Counter
-	tee := Tee{&a, &b}
+	var seen []int64
+	between := probe(func() { seen = append(seen, a.Records, b.Records) })
+	sink := NewColumnSink(&a, between, &b)
 	recs := sampleRecords()
 	for i := range recs {
-		tee.Consume(&recs[i])
+		push(sink, &recs[i])
 	}
+	sink.Close()
 	if a.Records != int64(len(recs)) || b.Records != a.Records {
-		t.Errorf("tee counts: %d, %d", a.Records, b.Records)
+		t.Errorf("sink counts: %d, %d", a.Records, b.Records)
 	}
 	if a.ValueProds != 3 {
 		t.Errorf("value producers = %d, want 3", a.ValueProds)
 	}
-}
-
-func TestConsumerFunc(t *testing.T) {
-	n := 0
-	c := ConsumerFunc(func(*Record) { n++ })
-	c.Consume(&Record{})
-	if n != 1 {
-		t.Error("ConsumerFunc did not invoke the function")
+	if want := []int64{int64(len(recs)), 0}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("counts seen between the consumers = %v, want %v", seen, want)
 	}
 }
+
+// probe is a consumer that calls itself once per batch.
+type probe func()
+
+func (p probe) ConsumeBatch(*Batch) { p() }

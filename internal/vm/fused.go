@@ -8,10 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// The fused execute+encode dispatch loop. The reference path (vm.go)
-// materializes a trace.Record per retired instruction and pays an interface
-// dispatch into Consume; at tens of millions of instructions per second that
-// is most of the recording tax BenchmarkVMStepsRecording measures. This loop
+// The fused execute+encode dispatch loop. The reference step loop (vm.go)
+// materializes a trace.Record per retired instruction and destructures it
+// into the staging columns; at tens of millions of instructions per second
+// that is most of the recording tax BenchmarkVMStepsRecording measures. This
+// loop
 // instead writes the destructured record fields straight into the consumer's
 // SoA staging columns — about ten plain stores per instruction, with the
 // packed operand-read and directive bytes precomputed per static instruction
@@ -21,8 +22,8 @@ import (
 // so each step checks nothing but the PC bound and the halt flag. Limit
 // errors still fire at exactly the step the reference loop would fail, with
 // the same message. stepFused must stay semantically identical to step; the
-// differential suites byte-diff fused trace files against files written from
-// the per-record step loop across the whole workload registry.
+// differential suite in package vm_test byte-diffs fused trace files against
+// files written from the step loop across the whole workload registry.
 
 // runFused executes until HALT or a limit, appending one column row per
 // retired instruction. The caller flushes the partial tail.

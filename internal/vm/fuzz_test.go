@@ -2,11 +2,11 @@ package vm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/program"
-	"repro/internal/trace"
 )
 
 // randomProgram builds a random straight-line program whose memory accesses
@@ -92,8 +92,9 @@ func randomProgram(rng *rand.Rand, n int) *program.Program {
 	return p
 }
 
-// TestFuzzStraightLinePrograms runs many random programs and checks the
-// machine never faults and the trace invariants hold.
+// TestFuzzStraightLinePrograms runs many random programs on the reference
+// step loop and checks the machine never faults, the trace invariants hold,
+// and the fused loop retires the identical record stream.
 func TestFuzzStraightLinePrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 200; round++ {
@@ -101,16 +102,14 @@ func TestFuzzStraightLinePrograms(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("round %d: generated invalid program: %v", round, err)
 		}
-		m, err := New(p, Config{MemWords: 4096})
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+		recs := runOnce(t, p, true)
+		if got := int64(len(recs)); got != int64(len(p.Text)) {
+			t.Fatalf("round %d: retired %d of %d", round, got, len(p.Text))
 		}
-		var lastSeq int64 = -1
-		m.Attach(trace.ConsumerFunc(func(r *trace.Record) {
-			if r.Seq != lastSeq+1 {
-				t.Fatalf("round %d: seq %d after %d", round, r.Seq, lastSeq)
+		for i, r := range recs {
+			if r.Seq != int64(i) {
+				t.Fatalf("round %d: record %d has seq %d", round, i, r.Seq)
 			}
-			lastSeq = r.Seq
 			info := r.Op.Info()
 			if r.HasDest {
 				if !info.WritesInt && !info.WritesFP {
@@ -136,14 +135,31 @@ func TestFuzzStraightLinePrograms(t *testing.T) {
 					t.Fatalf("round %d: read of register %d", round, rd.Reg)
 				}
 			}
-		}))
-		if err := m.Run(); err != nil {
-			t.Fatalf("round %d: fault-free program faulted: %v", round, err)
 		}
-		if got := m.InstructionsRetired(); got != int64(len(p.Text)) {
-			t.Fatalf("round %d: retired %d of %d", round, got, len(p.Text))
+		if fused := runOnce(t, p, false); !reflect.DeepEqual(fused, recs) {
+			t.Fatalf("round %d: fused loop retires a different stream than the step loop", round)
 		}
 	}
+}
+
+// runOnce executes p, on the reference step loop or the fused loop, and
+// returns the retired records.
+func runOnce(t *testing.T, p *program.Program, stepLoop bool) Records {
+	t.Helper()
+	m, err := New(p, Config{MemWords: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs Records
+	m.Attach(&recs)
+	run := m.Run
+	if stepLoop {
+		run = m.RunStepLoop
+	}
+	if err := run(); err != nil {
+		t.Fatalf("fault-free program faulted: %v", err)
+	}
+	return recs
 }
 
 // TestFuzzDeterminism: the same program must produce bit-identical traces on
@@ -151,19 +167,7 @@ func TestFuzzStraightLinePrograms(t *testing.T) {
 func TestFuzzDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProgram(rng, 500)
-	runOnce := func() []trace.Record {
-		m, err := New(p, Config{MemWords: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs []trace.Record
-		m.Attach(trace.ConsumerFunc(func(r *trace.Record) { recs = append(recs, *r) }))
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-	a, b := runOnce(), runOnce()
+	a, b := runOnce(t, p, true), runOnce(t, p, true)
 	if len(a) != len(b) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
 	}

@@ -192,10 +192,10 @@ func TestLimitsPartialTraceReplays(t *testing.T) {
 	// Appending after the cut-off run is a contract violation once sealed.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Consume on sealed partial recorder did not panic")
+			t.Fatal("ConsumeBatch on sealed partial recorder did not panic")
 		}
 	}()
-	rec.Consume(&trace.Record{})
+	rec.ConsumeBatch(&trace.Batch{})
 }
 
 func TestStepFaultInjection(t *testing.T) {

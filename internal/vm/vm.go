@@ -9,8 +9,8 @@
 // throughput: the text segment is pre-decoded once per machine into a dense
 // dispatch table whose entries carry the precomputed source-operand reads,
 // the per-instruction step is straight-line code with no closures and no
-// allocations, and the consumer fan-out is specialized for the common cases
-// of zero and one attached consumers.
+// allocations, and attached consumers receive the trace as column batches
+// written straight from the dispatch loop (fused.go).
 package vm
 
 import (
@@ -126,10 +126,9 @@ type Machine struct {
 	seq   int64
 
 	halted    bool
-	consumers trace.Tee
-	// rec is the reusable trace record handed to consumers; consumers
-	// must copy what they keep (the Consumer contract), which lets the
-	// simulator run allocation-free per instruction.
+	consumers []trace.Consumer
+	// rec is the reference step loop's reusable trace record, staged into
+	// the consumers' columns after every step.
 	rec trace.Record
 }
 
@@ -263,8 +262,8 @@ func packRegRead(rd trace.RegRead) byte {
 	return b
 }
 
-// Attach registers a trace consumer; every subsequently retired instruction
-// is forwarded to it.
+// Attach registers a trace consumer; every instruction Run retires reaches
+// it, in batches, after the consumers attached before it.
 func (m *Machine) Attach(c trace.Consumer) { m.consumers = append(m.consumers, c) }
 
 // Halted reports whether the program has executed HALT.
@@ -288,42 +287,48 @@ func (m *Machine) Mem(a int64) (isa.Word, error) {
 }
 
 // Run executes until HALT, the instruction budget, or a sandbox limit is
-// exhausted. It is the fused fast path: the halt/budget/limit/PC checks are
-// hoisted into one loop header and the step body is invoked directly on the
-// decoded instruction. Fault injection is snapshotted once — when no plan is
-// armed the loop carries a single always-false branch.
-func (m *Machine) Run() error {
+// exhausted, delivering the trace to the attached consumers as batches. A
+// sole ColumnAppender (a Recorder or trace Writer) takes the fused loop
+// writing its staging columns; any other set of consumers takes the same
+// loop through one ColumnSink that hands each filled stage to every
+// consumer in attach order. Fault injection needs a per-step hook, so an
+// armed plan runs the reference step loop, which stages each record into
+// that same stage.
+func (m *Machine) Run() error { return m.run(faults.Active()) }
+
+// run executes the program; stepLoop selects the reference step loop over
+// the fused one (always taken when no consumer is attached).
+func (m *Machine) run(stepLoop bool) error {
+	if m.halted {
+		return nil
+	}
 	budget := m.cfg.MaxInstructions
 	fuel := m.cfg.Limits.MaxSteps
 	events := m.cfg.Limits.MaxTraceEvents
-	if events > 0 && len(m.consumers) == 0 {
-		events = 0 // no consumers, no events to bound
+	if len(m.consumers) == 0 {
+		return m.runStep(nil, nil, budget, fuel, 0) // no consumers, no events to bound
 	}
+	var ca trace.ColumnAppender
+	var st *trace.RecordColumns
+	if a, ok := m.consumers[0].(trace.ColumnAppender); ok && len(m.consumers) == 1 {
+		ca, st = a, a.ColumnStage()
+	}
+	if st == nil {
+		sink := trace.NewColumnSink(m.consumers...)
+		defer sink.Close()
+		ca, st = sink, sink.ColumnStage()
+	}
+	defer ca.FlushTail()
+	if stepLoop {
+		return m.runStep(ca, st, budget, fuel, events)
+	}
+	return m.runFused(ca, st, budget, fuel, events)
+}
+
+// runStep is the reference interpreter: one checked step per instruction,
+// the retired record staged into st (when consumers are attached).
+func (m *Machine) runStep(ca trace.ColumnAppender, st *trace.RecordColumns, budget, fuel, events int64) error {
 	inject := faults.Active()
-	// Fused recording fast path: a single column-writing consumer (a
-	// Recorder or trace Writer, or a ColumnSink over a batch kernel) takes
-	// the dispatch loop that stores destructured record fields straight
-	// into staging columns — no Record materialization, no interface call
-	// per step. Fault injection needs its per-step hook, so an armed plan
-	// keeps the reference loop.
-	if !inject && len(m.consumers) == 1 {
-		switch c := m.consumers[0].(type) {
-		case trace.ColumnAppender:
-			if st := c.ColumnStage(); st != nil {
-				err := m.runFused(c, st, budget, fuel, events)
-				c.FlushTail()
-				return err
-			}
-		case trace.BatchConsumer:
-			// Batch kernels (profiler collectors, ILP engines) get the
-			// fused loop through a column sink that hands them whole
-			// staged chunks instead of one record per step.
-			sink := trace.NewColumnSink(c)
-			err := m.runFused(sink, sink.ColumnStage(), budget, fuel, events)
-			sink.Close()
-			return err
-		}
-	}
 	for !m.halted {
 		if m.seq >= budget {
 			return fmt.Errorf("%w (%d instructions, pc=%d)", ErrBudget, m.seq, m.pc)
@@ -345,19 +350,14 @@ func (m *Machine) Run() error {
 		if err := m.step(&m.dec[m.pc]); err != nil {
 			return err
 		}
+		if st != nil {
+			st.AppendRecord(&m.rec)
+			if st.N == st.Cap() {
+				st = ca.FlushColumns()
+			}
+		}
 	}
 	return nil
-}
-
-// Step executes one instruction and notifies trace consumers.
-func (m *Machine) Step() error {
-	if m.halted {
-		return errors.New("vm: step after halt")
-	}
-	if uint64(m.pc) >= uint64(len(m.dec)) {
-		return fmt.Errorf("%w: pc=%d text=[0,%d)", ErrPCFault, m.pc, len(m.dec))
-	}
-	return m.step(&m.dec[m.pc])
 }
 
 // setInt retires an integer register result: architectural write plus the
@@ -558,16 +558,6 @@ func (m *Machine) step(ins *decoded) error {
 
 	m.pc = nextPC
 	m.seq++
-	// Fan-out, specialized for the overwhelmingly common 0- and
-	// 1-consumer cases to avoid the slice-iteration overhead of the
-	// general Tee per retired instruction.
-	switch len(m.consumers) {
-	case 0:
-	case 1:
-		m.consumers[0].Consume(rec)
-	default:
-		m.consumers.Consume(rec)
-	}
 	return nil
 }
 

@@ -249,13 +249,18 @@ func TestJALRToBadAddressFaults(t *testing.T) {
 	}
 }
 
+// TestStepAfterHalt: running a halted machine again, on either loop,
+// retires nothing.
 func TestStepAfterHalt(t *testing.T) {
-	m := run(t, "main:\n halt")
+	var recs Records
+	m := run(t, "main:\n halt", &recs)
 	if !m.Halted() {
 		t.Fatal("not halted")
 	}
-	if err := m.Step(); err == nil {
-		t.Error("Step after halt succeeded")
+	for _, run := range []func() error{m.Run, m.RunStepLoop} {
+		if err := run(); err != nil || m.InstructionsRetired() != 1 || len(recs) != 1 {
+			t.Errorf("rerun after halt: err=%v, retired %d, %d records", err, m.InstructionsRetired(), len(recs))
+		}
 	}
 }
 
@@ -272,7 +277,7 @@ func TestConfigValidation(t *testing.T) {
 // TestTraceRecords verifies the stream the analyzers depend on: addresses,
 // destination values, phases, memory addresses and register reads.
 func TestTraceRecords(t *testing.T) {
-	var recs []trace.Record
+	var recs Records
 	run(t, `
 main:
 	phase 1
@@ -283,9 +288,7 @@ main:
 	add r0, r1, r2   ; writes to zero: no destination value
 	beq r1, r1, done
 done:
-	halt`, trace.ConsumerFunc(func(r *trace.Record) {
-		recs = append(recs, *r)
-	}))
+	halt`, &recs)
 
 	if len(recs) != 8 { // includes the final halt
 		t.Fatalf("got %d records, want 8", len(recs))
@@ -328,18 +331,20 @@ done:
 
 func TestFPTraceValueIsBitPattern(t *testing.T) {
 	var got int64
+	var recs Records
 	run(t, `
 main:
 	ldi r1, 3
 	itof f1, r1
-	halt`, trace.ConsumerFunc(func(r *trace.Record) {
+	halt`, &recs)
+	for _, r := range recs {
 		if r.Op == isa.OpITOF {
 			got = r.Value
 			if !r.DestFP {
 				t.Error("itof record not marked FP")
 			}
 		}
-	}))
+	}
 	if got != int64(math.Float64bits(3.0)) {
 		t.Errorf("FP trace value = %#x, want bits of 3.0", got)
 	}

@@ -135,7 +135,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Observe processes one dynamic value-producing instruction and returns its
 // outcome. The ILP machine calls this directly; trace-driven runs go through
-// Consume.
+// ConsumeBatch.
 func (e *Engine) Observe(addr int64, dir isa.Directive, value isa.Word) Outcome {
 	e.stats.ValueInstructions++
 	if !e.policy.Candidate(dir) {
@@ -176,19 +176,10 @@ func (e *Engine) Observe(addr int64, dir isa.Directive, value isa.Word) Outcome 
 	}
 }
 
-// Consume implements trace.Consumer.
-func (e *Engine) Consume(r *trace.Record) {
-	if !r.HasDest {
-		return
-	}
-	e.Observe(r.Addr, r.Dir, r.Value)
-}
-
-// ConsumeBatch implements trace.BatchConsumer: a tight loop over the
-// flags/addr/dir/value columns feeding Observe, with no Record
-// materialization or interface dispatch per record. The Dir column carries
-// any directive patch the replay applied, so FSM and profile policies both
-// see exactly the scalar stream.
+// ConsumeBatch implements trace.Consumer: a tight loop over the
+// flags/addr/dir/value columns feeding Observe for every value-producing
+// record. The Dir column carries any directive patch the replay applied, so
+// FSM and profile policies both see the annotated stream.
 func (e *Engine) ConsumeBatch(b *trace.Batch) {
 	flags, addrs, dirs, vals := b.Flags, b.Addr, b.Dir, b.Value
 	for i, f := range flags {

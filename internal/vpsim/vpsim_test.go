@@ -9,6 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
+// consume feeds r to the engine as a one-record batch.
+func (e *Engine) consume(r *trace.Record) {
+	s := trace.NewColumnSink(e)
+	s.ColumnStage().AppendRecord(r)
+	s.Close()
+}
+
 func fsmEngine(t *testing.T, store predictor.Store) *Engine {
 	t.Helper()
 	policy, err := classify.NewFSMPolicy(classify.SatCounter{Bits: 2, TrustAt: 2, Initial: 2})
@@ -133,8 +140,8 @@ func TestEngineWithFiniteTableEvicts(t *testing.T) {
 
 func TestEngineConsumeSkipsNonValueRecords(t *testing.T) {
 	e := NewProfileEngine(predictor.NewInfinite(predictor.Stride))
-	e.Consume(&trace.Record{Addr: 1, Op: isa.OpBEQ})
-	e.Consume(&trace.Record{Addr: 2, Op: isa.OpADD, HasDest: true, Dir: isa.DirStride, Value: 4})
+	e.consume(&trace.Record{Addr: 1, Op: isa.OpBEQ})
+	e.consume(&trace.Record{Addr: 2, Op: isa.OpADD, HasDest: true, Dir: isa.DirStride, Value: 4})
 	st := e.Stats()
 	if st.ValueInstructions != 1 {
 		t.Errorf("value instructions = %d, want 1", st.ValueInstructions)

@@ -121,8 +121,20 @@ func AllNames() []string {
 
 // progCache memoizes assembled images: workload generation is deterministic
 // in (name, input), and the experiment drivers run the same program under
-// many predictor configurations.
-var progCache sync.Map // key progKey → *program.Program
+// many predictor configurations. The memo holds at most progCacheCap images
+// and evicts the oldest first, so a server building one program per request
+// seed cannot grow its heap without limit.
+var progCache struct {
+	sync.Mutex
+	m    map[progKey]*program.Program
+	ring [progCacheCap]progKey // insertion order; next is the oldest slot
+	next int
+}
+
+// progCacheCap exceeds the programs one process touches when it regenerates
+// every artifact (each benchmark under the training and evaluation inputs)
+// or serves a fixed pool of request seeds, so those runs always hit.
+const progCacheCap = 256
 
 type progKey struct {
 	name  string
@@ -133,8 +145,11 @@ type progKey struct {
 // returned image is shared and must not be mutated; annotation clones it.
 func Build(name string, in Input) (*program.Program, error) {
 	key := progKey{name, Input{Seed: in.Seed, Scale: in.scale()}}
-	if p, ok := progCache.Load(key); ok {
-		return p.(*program.Program), nil
+	progCache.Lock()
+	p, ok := progCache.m[key]
+	progCache.Unlock()
+	if ok {
+		return p, nil
 	}
 	s, ok := ByName(name)
 	if !ok {
@@ -144,7 +159,20 @@ func Build(name string, in Input) (*program.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: assemble %s: %w", name, err)
 	}
-	progCache.Store(key, p)
+	progCache.Lock()
+	defer progCache.Unlock()
+	if q, ok := progCache.m[key]; ok {
+		return q, nil // built concurrently; keep the memoized image
+	}
+	if progCache.m == nil {
+		progCache.m = make(map[progKey]*program.Program, progCacheCap)
+	}
+	if len(progCache.m) == progCacheCap {
+		delete(progCache.m, progCache.ring[progCache.next])
+	}
+	progCache.m[key] = p
+	progCache.ring[progCache.next] = key
+	progCache.next = (progCache.next + 1) % progCacheCap
 	return p, nil
 }
 

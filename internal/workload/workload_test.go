@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/profiler"
+	"repro/internal/program"
 	"repro/internal/trace"
 )
 
@@ -120,12 +121,8 @@ func TestNamesOrder(t *testing.T) {
 func TestFPWorkloadsUsePhases(t *testing.T) {
 	for _, name := range AllNames() {
 		spec, _ := ByName(name)
-		phases := map[int]bool{}
-		_, err := BuildAndRun(name, Input{Seed: 3}, trace.ConsumerFunc(func(r *trace.Record) {
-			if r.HasDest {
-				phases[r.Phase] = true
-			}
-		}))
+		phases := map[int64]bool{}
+		_, err := BuildAndRun(name, Input{Seed: 3}, phaseSet(phases))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -135,5 +132,44 @@ func TestFPWorkloadsUsePhases(t *testing.T) {
 		if !spec.FP && phases[1] {
 			t.Errorf("%s: integer benchmark unexpectedly uses phase 1", name)
 		}
+	}
+}
+
+// phaseSet records the phases value-producing records execute in.
+type phaseSet map[int64]bool
+
+// ConsumeBatch implements trace.Consumer.
+func (ps phaseSet) ConsumeBatch(b *trace.Batch) {
+	for i, f := range b.Flags {
+		if f&trace.FlagHasDest != 0 {
+			ps[b.Phase[i]] = true
+		}
+	}
+}
+
+// TestBuildMemoBounded builds more distinct seeds than the program memo
+// holds: the memo must stay at its cap, and a just-built image must still
+// hit.
+func TestBuildMemoBounded(t *testing.T) {
+	var last *program.Program
+	for seed := uint64(1); seed <= progCacheCap+20; seed++ {
+		p, err := Build("compress", Input{Seed: 0xB0B0 + seed, Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = p
+	}
+	progCache.Lock()
+	n := len(progCache.m)
+	progCache.Unlock()
+	if n > progCacheCap {
+		t.Fatalf("memo holds %d programs, cap %d", n, progCacheCap)
+	}
+	p, err := Build("compress", Input{Seed: 0xB0B0 + progCacheCap + 20, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != last {
+		t.Error("most recently built program was evicted")
 	}
 }

@@ -204,27 +204,26 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 	})
 
 	// The walkonly pair isolates the pass-merging machinery from
-	// predictor-table work: near-free consumers on the undirected stream, so
+	// predictor-table work: trace.Counter consumers (a word-at-a-time flag
+	// count per batch) on the undirected stream, so
 	// separate costs len(thresholds) trace walks where multieval costs one.
 	// On an idle core hardware prefetch hides the extra streams and the pair
 	// sits near parity — what it guards is the machinery's overhead (a
-	// per-record dispatch bug shows up as a clear ratio drop), which is why
+	// per-pass or per-batch dispatch bug shows up as a clear ratio drop), which is why
 	// scripts/bench_smoke.sh gates on it rather than on the engine pair,
 	// whose table-update-dominated ratio swings with machine noise.
 	b.Run("walkonly-separate", func(b *testing.B) {
-		var n int64
 		for i := 0; i < b.N; i++ {
 			for range thresholds {
-				rec.Replay(trace.ConsumerFunc(func(r *trace.Record) { n++ }))
+				rec.Replay(&trace.Counter{})
 			}
 		}
 	})
 	b.Run("walkonly-multieval", func(b *testing.B) {
-		var n int64
 		for i := 0; i < b.N; i++ {
 			cfgs := make([]trace.EvalConfig, len(thresholds))
 			for k := range thresholds {
-				cfgs[k] = trace.EvalConfig{Consumer: trace.ConsumerFunc(func(r *trace.Record) { n++ })}
+				cfgs[k] = trace.EvalConfig{Consumer: &trace.Counter{}}
 			}
 			rec.MultiEval(cfgs...)
 		}
@@ -232,8 +231,9 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 }
 
 // BenchmarkTraceStore measures the columnar trace store against a plain
-// []Record buffer: walk throughput for the resident records, the resident
-// columnar store and the fully-spilled columnar store, plus serialization
+// []Record buffer: walk throughput for the resident records (a counting
+// loop over the slice), the resident columnar store and the fully-spilled
+// columnar store (trace.Counter replays), plus serialization
 // cost per record for the VPTRC02 file format. The walk legs report memB/rec
 // (in-memory footprint per record); disk-v2 reports diskB/rec (VPTRC01, no
 // longer written, is a fixed 40 B/rec). scripts/bench_smoke.sh gates on the
@@ -243,12 +243,11 @@ func BenchmarkTraceStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var aos []trace.Record
-	capture := trace.ConsumerFunc(func(r *trace.Record) { aos = append(aos, *r) })
+	var aos recordSlice
 	col := trace.NewRecorder()
 	spill := trace.NewRecorder()
 	spill.SetMemBudget(1)
-	if _, err := workload.Run(prog, trace.Tee{capture, col, spill}); err != nil {
+	if _, err := workload.Run(prog, &aos, col, spill); err != nil {
 		b.Fatal(err)
 	}
 	col.Seal()
@@ -258,32 +257,36 @@ func BenchmarkTraceStore(b *testing.B) {
 		b.Fatal("spill recorder did not spill")
 	}
 
-	// walk replays rc through a near-free consumer; memBytes is the store's
-	// in-memory footprint.
-	walk := func(replay func(trace.Consumer), memBytes int64) func(b *testing.B) {
+	// walk counts a store's records and value producers; memBytes is the
+	// store's in-memory footprint.
+	walk := func(count func(*trace.Counter), memBytes int64) func(b *testing.B) {
 		return func(b *testing.B) {
-			var total, seen int64
+			var total int64
+			var c trace.Counter
 			for i := 0; i < b.N; i++ {
-				replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
+				count(&c)
 				total += int64(len(aos))
 			}
 			b.StopTimer()
-			if seen != total {
-				b.Fatalf("replayed %d records, want %d", seen, total)
+			if c.Records != total {
+				b.Fatalf("walked %d records, want %d", c.Records, total)
 			}
 			reportMIPS(b, total)
 			b.ReportMetric(float64(memBytes)/float64(len(aos)), "memB/rec")
 		}
 	}
-	b.Run("walk-aos", walk(func(c trace.Consumer) {
+	b.Run("walk-aos", walk(func(c *trace.Counter) {
 		for i := range aos {
-			c.Consume(&aos[i])
+			c.Records++
+			if aos[i].HasDest {
+				c.ValueProds++
+			}
 		}
 	}, int64(len(aos))*int64(unsafe.Sizeof(trace.Record{}))))
-	b.Run("walk-columnar", walk(func(c trace.Consumer) { col.Replay(c) }, col.Bytes()))
+	b.Run("walk-columnar", walk(func(c *trace.Counter) { col.Replay(c) }, col.Bytes()))
 	// Bytes() is ~0 for a fully spilled store; the honest footprint is the
 	// replay working set (resident chunks + spill read buffers in flight).
-	b.Run("walk-spill", walk(func(c trace.Consumer) { spill.Replay(c) }, spill.ReplayResidentBytes()))
+	b.Run("walk-spill", walk(func(c *trace.Counter) { spill.Replay(c) }, spill.ReplayResidentBytes()))
 
 	b.Run("disk-v2", func(b *testing.B) {
 		var total, bytes int64
@@ -304,6 +307,18 @@ func BenchmarkTraceStore(b *testing.B) {
 		reportMIPS(b, total)
 		b.ReportMetric(float64(bytes)/float64(col.Len()), "diskB/rec")
 	})
+}
+
+// recordSlice keeps every record of a run, materialized from its batches.
+type recordSlice []trace.Record
+
+// ConsumeBatch implements trace.Consumer.
+func (rs *recordSlice) ConsumeBatch(b *trace.Batch) {
+	for i := 0; i < b.N; i++ {
+		var r trace.Record
+		b.Record(i, &r)
+		*rs = append(*rs, r)
+	}
 }
 
 // BenchmarkBatchKernels measures replay of one sealed trace through the
