@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/server"
 )
 
@@ -78,16 +77,6 @@ type Config struct {
 	// StaleCacheSize bounds the per-request last-good-result cache used
 	// for degraded-mode fallbacks (default 64; negative disables it).
 	StaleCacheSize int
-	// StateDir, when set, persists the last-good-result cache on disk (a
-	// durable.Store under this directory), so degraded-mode fallbacks
-	// survive a client restart: a freshly started client facing a dead
-	// server can still serve the results a previous incarnation fetched.
-	// Empty (the default) keeps the cache in memory only.
-	StateDir string
-	// Logf receives durability diagnostics (quarantines, persist failures).
-	// Default: discard.
-	Logf func(format string, args ...any)
-
 	// Seed fixes the jitter RNG for reproducible tests (default 1).
 	Seed int64
 
@@ -121,9 +110,6 @@ func (c *Config) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 	if c.sleep == nil {
 		c.sleep = time.Sleep
 	}
@@ -153,32 +139,16 @@ type Client struct {
 	probing     bool
 	stale       map[string]server.JobResponse
 	staleOrder  []string // FIFO eviction
-
-	// store is the disk tier under the stale cache; nil without a StateDir
-	// (or when opening it failed — the client degrades to memory-only).
-	store *durable.Store
 }
-
-// staleKind is the artifact-store kind the stale cache persists under.
-const staleKind = "stale"
 
 // New returns a Client for the server at cfg.BaseURL.
 func New(cfg Config) *Client {
 	cfg.applyDefaults()
-	c := &Client{
+	return &Client{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		stale: make(map[string]server.JobResponse),
 	}
-	if cfg.StateDir != "" && cfg.StaleCacheSize >= 0 {
-		store, err := durable.OpenStore(cfg.StateDir, cfg.Logf)
-		if err != nil {
-			cfg.Logf("client: open state dir %s: %v (stale cache stays in memory)", cfg.StateDir, err)
-		} else {
-			c.store = store
-		}
-	}
-	return c
 }
 
 // --- circuit breaker ---
@@ -260,49 +230,14 @@ func (c *Client) storeStale(key string, jr server.JobResponse) {
 		}
 	}
 	c.stale[key] = jr
-	store := c.store
 	c.mu.Unlock()
-	if store == nil {
-		return
-	}
-	// Best-effort persistence: a failed write costs only a post-restart
-	// fallback, never the fresh result being returned right now.
-	if data, err := json.Marshal(jr); err == nil {
-		if err := store.Put(staleKind, key, data); err != nil {
-			c.cfg.Logf("client: persist stale result: %v", err)
-		}
-	}
 }
 
 func (c *Client) loadStale(key string) (server.JobResponse, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	jr, ok := c.stale[key]
-	store := c.store
-	c.mu.Unlock()
-	if ok || store == nil {
-		return jr, ok
-	}
-	// Disk tier: a previous incarnation's last-good result. Corrupt entries
-	// quarantine inside the store and read as a miss.
-	data, ok, _ := store.Get(staleKind, key)
-	if !ok {
-		return server.JobResponse{}, false
-	}
-	if err := json.Unmarshal(data, &jr); err != nil {
-		c.cfg.Logf("client: stale artifact undecodable (schema drift?): %v", err)
-		return server.JobResponse{}, false
-	}
-	c.mu.Lock()
-	if _, dup := c.stale[key]; !dup {
-		c.stale[key] = jr
-		c.staleOrder = append(c.staleOrder, key)
-		for len(c.staleOrder) > c.cfg.StaleCacheSize {
-			delete(c.stale, c.staleOrder[0])
-			c.staleOrder = c.staleOrder[1:]
-		}
-	}
-	c.mu.Unlock()
-	return jr, true
+	return jr, ok
 }
 
 // --- transport ---

@@ -32,7 +32,9 @@ import (
 // "different input parameters and input files".
 type Input struct {
 	// Seed drives the pseudo-random generation of the workload's input
-	// data (the contents of its data segment).
+	// data (the contents of its data segment). The generator forces its
+	// state odd, so seeds that differ only in bit 0 build the same program:
+	// use odd seeds (or step by two) when distinct programs are wanted.
 	Seed uint64
 	// Scale multiplies the amount of work; 0 means 1. Profiling runs and
 	// "real" runs can use different scales as well as different seeds.

@@ -70,6 +70,30 @@ func TestDifferentSeedsDifferentData(t *testing.T) {
 	}
 }
 
+// TestOddSeedsBuildDistinctPrograms pins the seed rule Input documents:
+// seeds that differ only in bit 0 may build one program, but odd seeds —
+// what benchmarks step through when each call must miss the caches — build
+// distinct ones.
+func TestOddSeedsBuildDistinctPrograms(t *testing.T) {
+	for _, name := range AllNames() {
+		seen := make(map[string]uint64)
+		for _, seed := range []uint64{1, 3, 5} {
+			p, err := Build(name, Input{Seed: seed})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fp, err := Fingerprint(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if prev, dup := seen[fp]; dup {
+				t.Errorf("%s: seeds %d and %d build the same program (fingerprint %s)", name, prev, seed, fp)
+			}
+			seen[fp] = seed
+		}
+	}
+}
+
 // TestBuildCacheReturnsSameImage verifies the memoization contract.
 func TestBuildCacheReturnsSameImage(t *testing.T) {
 	a, err := Build("compress", Input{Seed: 7})
